@@ -1,0 +1,10 @@
+"""Make the benchmark's modules and the checkout's ``repro`` importable."""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(PERFBENCH))
+sys.path.insert(0, str(PERFBENCH.parent / "src"))
