@@ -351,8 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         default=None,
-        help="submit: work units the grid is split into per dispatch "
-        "(default: 4)",
+        help="submit: divisor of the guided ticket sizes; each ticket "
+        "takes ceil(remaining / (2*N)) cells, so tickets shrink to single "
+        "cells toward the end (default: 4)",
     )
     service.add_argument(
         "--wait",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import functools
 import itertools
 import json
 import os
@@ -48,7 +47,7 @@ from repro.sim.runner import MachineConfig, run_core, simulate
 from repro.sim.stats import SimStats
 from repro.store import CellKey, ResultStore, cell_key, from_jsonable
 from repro.viz.ascii import table
-from repro.workloads import get_workload, SPECFP_NAMES, SPECINT_NAMES
+from repro.workloads import Workload, get_workload, SPECFP_NAMES, SPECINT_NAMES
 
 
 class Scale(str, enum.Enum):
@@ -191,12 +190,20 @@ def resolve_batch(batch: int | None) -> int:
     return max(1, batch)
 
 
-@functools.lru_cache(maxsize=None)
-def _worker_workload(name: str, seed: int):
-    """Per-process workload memo: pool processes persist across map items,
-    so each worker materializes a given (name, seed) workload — and hence
-    its deterministic trace — once, no matter how many configs reuse it."""
-    return get_workload(name, seed=seed)
+#: Per-process workload memo behind :func:`_worker_workload`.
+_WORKER_WORKLOADS: dict[tuple[str, int], Workload] = {}
+
+
+def _worker_workload(name: str, seed: int) -> Workload:
+    """Per-process workload memo: pool and service workers persist across
+    cells, so each worker materializes a given (name, seed) workload — and
+    hence its deterministic trace — once, no matter how many configs reuse
+    it."""
+    key = (name, seed)
+    workload = _WORKER_WORKLOADS.get(key)
+    if workload is None:
+        workload = _WORKER_WORKLOADS[key] = get_workload(name, seed=seed)
+    return workload
 
 
 def _run_pair(task) -> SimStats:
@@ -751,9 +758,11 @@ def compute_cell(payload: dict, max_cycles: int | None = None) -> SimStats:
     """Re-run one cell from its stored key payload (``cache verify``).
 
     Rebuilds the machine and memory configurations from their serialized
-    form, re-materializes the workload, and replays the exact execution
-    path the sweeps use, so the result must match the stored stats bit
-    for bit unless simulator behaviour drifted under the fingerprint.
+    form, takes the workload from the per-process memo (a worker
+    generates each trace once across all its cells), and replays the
+    exact execution path the sweeps use, so the result must match the
+    stored stats bit for bit unless simulator behaviour drifted under
+    the fingerprint.
     Machine construction goes through the kind registry, so limit cells
     and cycle-level cells replay through one path.  *max_cycles* is the
     deadlock-guard bound (not part of the key — it cannot change a
@@ -762,7 +771,13 @@ def compute_cell(payload: dict, max_cycles: int | None = None) -> SimStats:
     machine = from_jsonable(payload["machine"])
     memory = from_jsonable(payload["memory"])
     spec = payload["workload"]
-    workload = get_workload(spec["name"], seed=spec["seed"])
+    workload = _worker_workload(spec["name"], spec["seed"])
+    if workload.fingerprint() != spec["fingerprint"]:
+        # The memo can predate an edit to the workload's source (a trace
+        # file rewritten after this process cached it): rebuild once, and
+        # call it drift only when the fresh build disagrees too.
+        _WORKER_WORKLOADS.pop((spec["name"], spec["seed"]), None)
+        workload = _worker_workload(spec["name"], spec["seed"])
     if workload.fingerprint() != spec["fingerprint"]:
         raise ValueError(
             f"workload {spec['name']!r} fingerprint changed since this "

@@ -49,8 +49,9 @@ def atomic_write_json(path: Path, data: Mapping[str, Any]) -> None:
         f".tmp.{os.getpid()}.{next(_TMP_COUNTER)}.{os.urandom(4).hex()}"
     )
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, sort_keys=True)
+        # dumps() rather than dump(handle): only dumps() runs the C
+        # encoder, and the scheduler rewrites job records on most polls.
+        tmp.write_text(json.dumps(data, sort_keys=True), encoding="utf-8")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -152,8 +153,12 @@ class ServiceQueue:
 
     @staticmethod
     def ticket_name(job_id: str, generation: int, part: int) -> str:
-        """The file name of one dispatch ticket."""
-        return f"{job_id}.g{generation}.p{part}.json"
+        """The file name of one dispatch ticket.
+
+        The part number is zero-padded so :meth:`claim`'s name order is
+        dispatch order (``p00002`` before ``p00010``).
+        """
+        return f"{job_id}.g{generation}.p{part:05d}.json"
 
     def write_ticket(
         self, job_id: str, generation: int, part: int, indices: list[int]

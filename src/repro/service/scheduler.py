@@ -22,6 +22,8 @@ overlapping submissions sharing one store never double-simulate a cell.
 
 from __future__ import annotations
 
+import json
+import math
 import time
 from typing import Callable
 
@@ -34,6 +36,37 @@ from repro.store import ResultStore, cell_key
 
 #: Counter keys folded from shard reports into ``Job.counters``.
 _REPORT_COUNTERS = ("cells", "completed", "retries", "timeouts", "worker_deaths")
+
+
+def _workload_major(job: Job, indices: list[int]) -> list[int]:
+    """*indices* ordered by workload fingerprint, then memory, then plan
+    order, so consecutive cells share a trace and a warm-up snapshot
+    that the worker running them has already built."""
+
+    def order(index: int) -> tuple[str, str, int]:
+        key = job.cells[index].key
+        memory = json.dumps(key["memory"], sort_keys=True)
+        return key["workload"]["fingerprint"], memory, index
+
+    return sorted(indices, key=order)
+
+
+def _guided_tickets(indices: list[int], shards: int) -> list[list[int]]:
+    """Cut *indices* into guided self-scheduling tickets.
+
+    Each ticket takes ``ceil(remaining / (2 * shards))`` of the cells
+    still unassigned (Polychronopoulos & Kuck, 1987): early tickets are
+    large and amortize claiming, late ones shrink to single cells so
+    the workers finish together instead of one draining a long tail.
+    """
+    divisor = 2 * max(1, shards)
+    tickets = []
+    start = 0
+    while start < len(indices):
+        size = math.ceil((len(indices) - start) / divisor)
+        tickets.append(indices[start:start + size])
+        start += size
+    return tickets
 
 
 class Scheduler:
@@ -214,7 +247,9 @@ class Scheduler:
         and warm resubmits alike: compare the job's cells against the
         store, subtract permanently failed/lost digests and cells
         already in flight (in *any* job — that is the cross-job dedup),
-        and shard whatever remains.
+        and cut whatever remains, workload-major, into guided tickets
+        whose sizes shrink toward the end (``job.shards`` is the divisor
+        of the ticket size, not the ticket count).
         """
         covered = self._covered_digests(jobs)
         resolved_elsewhere: set[str] = set()
@@ -251,18 +286,19 @@ class Scheduler:
                     f"cell(s) after {job.requeues} requeues"
                 )
                 continue
-            parts = min(job.shards, len(uncovered)) or 1
             generation = job.generation
             job.generation += 1
-            for part in range(parts):
-                indices = uncovered[part::parts]
+            tickets = _guided_tickets(
+                _workload_major(job, uncovered), job.shards
+            )
+            for part, indices in enumerate(tickets):
                 self.queue.write_ticket(job.job_id, generation, part, indices)
                 for index in indices:
                     covered.add(job.cells[index].digest)
             self.queue.save_job(job)
             events.append(
                 f"job {job.job_id[:12]}: dispatched {len(uncovered)} "
-                f"cell(s) in {parts} shard(s) (generation {generation})"
+                f"cell(s) in {len(tickets)} shard(s) (generation {generation})"
             )
 
     # ------------------------------------------------------------------

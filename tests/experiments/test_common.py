@@ -148,3 +148,82 @@ def test_parallel_run_suite_ships_warm_snapshots():
     assert cache.misses == 2  # warmed once per workload, in the parent
     for a, b in zip(serial, fanned):
         assert a == b
+
+
+# ----------------------------------------------------------------------
+# compute_cell's per-process workload memo
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def empty_workload_memo(monkeypatch):
+    from repro.experiments import common
+
+    monkeypatch.setattr(common, "_WORKER_WORKLOADS", {})
+
+
+def _payload(machine, workload, n=400):
+    from repro.memory import DEFAULT_MEMORY
+    from repro.store import cell_key
+
+    return cell_key(machine, workload, n, DEFAULT_MEMORY).payload
+
+
+def test_compute_cell_generates_each_trace_once_per_process(
+    empty_workload_memo, monkeypatch
+):
+    from repro.experiments.common import compute_cell
+    from repro.sim.config import R10_64, R10_256
+    from repro.sim.runner import run_core
+    from repro.workloads import get_workload
+    from repro.workloads.base import Workload
+
+    workload = get_workload("mcf")
+    machines = (R10_64, R10_256)
+    payloads = [_payload(machine, workload) for machine in machines]
+    expected = [run_core(machine, workload, 400) for machine in machines]
+    generated = []
+    make_kernel = Workload._make_kernel
+
+    def counting(self):
+        generated.append(self.name)
+        return make_kernel(self)
+
+    monkeypatch.setattr(Workload, "_make_kernel", counting)
+    assert [compute_cell(payload) for payload in payloads] == expected
+    assert generated == ["mcf"]
+
+
+def test_compute_cell_rejects_a_wrong_fingerprint_with_a_warm_memo(
+    empty_workload_memo,
+):
+    from repro.experiments.common import compute_cell
+    from repro.sim.config import R10_64
+    from repro.workloads import get_workload
+
+    payload = _payload(R10_64, get_workload("mcf"))
+    compute_cell(payload)  # warms the memo
+    drifted = dict(payload, workload=dict(payload["workload"], fingerprint="0" * 64))
+    with pytest.raises(ValueError, match="fingerprint changed"):
+        compute_cell(drifted)
+
+
+def test_compute_cell_rebuilds_a_trace_file_rewritten_after_memoizing(
+    empty_workload_memo, tmp_path
+):
+    from repro.experiments.common import compute_cell
+    from repro.sim.config import R10_64
+    from repro.sim.runner import run_core
+    from repro.trace.io import save_trace
+    from repro.workloads import get_workload
+
+    path = tmp_path / "capture.trc"
+    save_trace(get_workload("mcf"), str(path), 600)
+    name = f"trace(file={path})"
+    before = _payload(R10_64, get_workload(name))
+    compute_cell(before)  # memoizes the mcf capture
+    save_trace(get_workload("swim"), str(path), 600)
+    rewritten = get_workload(name)
+    after = _payload(R10_64, rewritten)
+    assert after["workload"]["fingerprint"] != before["workload"]["fingerprint"]
+    assert compute_cell(after) == run_core(R10_64, rewritten, 400)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 from repro.service import build_job
 from repro.service.jobs import DONE, QUEUED, RUNNING
 from repro.service.queue import atomic_write_json, read_json
@@ -17,6 +19,13 @@ def test_atomic_write_leaves_no_tmp_litter(tmp_path):
     atomic_write_json(path, {"a": 2})
     assert read_json(path) == {"a": 2}
     assert list(path.parent.glob("*.tmp.*")) == []
+
+
+def test_atomic_write_bytes_match_sorted_json_dumps(tmp_path):
+    path = tmp_path / "record.json"
+    data = {"b": [1, 2.5, None], "a": {"z": "é", "y": True}}
+    atomic_write_json(path, data)
+    assert path.read_bytes() == json.dumps(data, sort_keys=True).encode("utf-8")
 
 
 def test_read_json_treats_torn_and_absent_as_none(tmp_path):
@@ -94,6 +103,14 @@ def test_claim_is_exclusive_and_heartbeats(queue, mapping, clock):
     assert dict(queue.iter_claims())[name]["heartbeat"] == clock()
     queue.finish_claim(claim)
     assert name not in dict(queue.iter_claims())
+
+
+def test_claims_follow_dispatch_order_past_ten_tickets(queue, mapping):
+    job, _ = queue.submit(_job(mapping))
+    for part in range(12):
+        queue.write_ticket(job.job_id, 0, part, [part])
+    claimed = [queue.claim("w1")["part"] for _ in range(12)]
+    assert claimed == list(range(12))  # p00002 before p00010
 
 
 def test_claim_skips_tickets_lost_to_a_racing_worker(queue, mapping):

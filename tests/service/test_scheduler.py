@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+from collections import Counter
+
+from repro.experiments.common import compute_cell
 from repro.service import Scheduler, ServiceWorker, build_job
 from repro.service.jobs import DONE, FAILED, RUNNING
 
@@ -21,13 +25,13 @@ def test_plan_expands_and_shards_the_grid(queue, store, mapping):
     assert len({cell.digest for cell in planned.cells}) == 4
     assert all(" × " in cell.label for cell in planned.cells)
     tickets = queue.iter_tickets()
-    assert len(tickets) == 2
+    assert len(tickets) == 4  # guided: ceil(4 / (2*2)) = 1 cell each
     covered = sorted(
         index for _name, data in tickets for index in data["indices"]
     )
     assert covered == [0, 1, 2, 3]  # a disjoint, complete partition
     assert any("planned: 4 cells, 0 cached" in event for event in events)
-    assert any("dispatched 4 cell(s) in 2 shard(s)" in event for event in events)
+    assert any("dispatched 4 cell(s) in 4 shard(s)" in event for event in events)
 
 
 def test_shard_count_never_exceeds_cell_count(queue, store, mapping):
@@ -113,6 +117,8 @@ def test_requeue_budget_exhaustion_marks_cells_lost(
     scheduler = Scheduler(queue, store, lease=30.0, requeue_budget=0)
     scheduler.poll_once()
     assert queue.claim("doomed") is not None
+    while queue.claim("doomed") is not None:
+        pass  # the doomed worker holds every ticket
     clock.advance(31.0)
     events = scheduler.poll_once()
     abandoned = queue.load_job(job.job_id)
@@ -146,3 +152,83 @@ def test_drained_reflects_outstanding_work(queue, store, mapping):
     assert not scheduler.drained()  # a queued job is outstanding
     scheduler.poll_once()
     assert not scheduler.drained()  # now its tickets are
+
+
+#: 3 machines x 3 workloads x 2 memories: enough cells for guided
+#: tickets to shrink over several sizes.
+GRID = {
+    "machines": ["r10(rob=32)", "dkip(llib=4096)", "kilo"],
+    "workloads": ["mcf", "swim", "gcc"],
+    "memory": ["MEM-100", "MEM-400"],
+}
+
+
+def _outstanding(queue):
+    """Each unclaimed ticket's ``(job, indices)``, in claim order."""
+    return [(data["job"], data["indices"]) for _name, data in queue.iter_tickets()]
+
+
+def _pair(cell):
+    """The (workload, memory) a cell's trace and warm-up depend on."""
+    key = cell.key
+    return key["workload"]["fingerprint"], json.dumps(key["memory"], sort_keys=True)
+
+
+def test_guided_tickets_partition_the_pending_cells(queue, store, mapping):
+    job = _submit(queue, dict(mapping, **GRID), shards=2)
+    Scheduler(queue, store).poll_once()
+    cells = queue.load_job(job.job_id).cells
+    tickets = [indices for _job, indices in _outstanding(queue)]
+    order = [index for indices in tickets for index in indices]
+    assert len(cells) == 18
+    assert sorted(order) == list(range(18))  # disjoint and complete
+    sizes = [len(indices) for indices in tickets]
+    assert sizes == [5, 4, 3, 2, 1, 1, 1, 1]  # ceil(remaining / (2*2))
+    assert sizes == sorted(sizes, reverse=True) and sizes[-1] == 1
+    # Workload-major: each (workload, memory) pair is one contiguous run.
+    pairs = [_pair(cells[index]) for index in order]
+    runs = [pair for at, pair in enumerate(pairs) if at == 0 or pairs[at - 1] != pair]
+    assert len(runs) == len(set(pairs)) == 6
+
+
+def test_guided_dispatch_keeps_cross_job_dedup(queue, store, mapping):
+    first = _submit(queue, dict(mapping, **GRID), shards=2)
+    overlapping = {
+        **mapping, **GRID, "name": "svc-overlap",
+        "machines": ["r10(rob=32)", "r10(rob=48)"],
+    }
+    second = _submit(queue, overlapping, shards=2)
+    Scheduler(queue, store).poll_once()
+    cells = {
+        job.job_id: queue.load_job(job.job_id).cells for job in (first, second)
+    }
+    issued = Counter(
+        cells[job_id][index].digest
+        for job_id, indices in _outstanding(queue)
+        for index in indices
+    )
+    union = {cell.digest for job_cells in cells.values() for cell in job_cells}
+    assert len(union) == 24  # 18 + the 6 r10(rob=48) cells
+    assert set(issued) == union and set(issued.values()) == {1}
+
+
+def test_guided_requeue_reissues_each_missing_cell_once(
+    queue, store, mapping, clock
+):
+    job = _submit(queue, dict(mapping, **GRID), shards=2)
+    scheduler = Scheduler(queue, store, lease=30.0)
+    scheduler.poll_once()
+    cells = queue.load_job(job.job_id).cells
+    doomed = queue.claim("doomed")
+    assert len(doomed["indices"]) == 5
+    # The dead worker stored its first cell before it stopped heartbeating.
+    finished = cells[doomed["indices"][0]]
+    store.put(finished.store_key(), compute_cell(finished.key))
+    clock.advance(31.0)
+    events = scheduler.poll_once()
+    assert any("dispatched 4 cell(s)" in event for event in events)
+    issued = Counter(
+        cells[index].digest for _job, indices in _outstanding(queue) for index in indices
+    )
+    missing = {cell.digest for cell in cells} - {finished.digest}
+    assert set(issued) == missing and set(issued.values()) == {1}
