@@ -18,7 +18,6 @@ import pytest
 from repro.branch import make_predictor
 from repro.machines import parse_machine
 from repro.memory import DEFAULT_MEMORY, MemoryHierarchy
-from repro.sim.batch import BatchRunner
 from repro.sim.config import DKIP_2048, R10_64
 from repro.sim.runner import simulate
 from repro.workloads import get_workload
@@ -94,30 +93,6 @@ def test_dual_core_cycles_per_second(benchmark, workload_name):
         parse_machine("dual(rob=32,co=synth(chase=8),bp=gshare-10)"),
         workload_name,
     )
-
-
-@pytest.mark.benchmark(group="simulator-throughput")
-def test_batched_grid_throughput(benchmark):
-    """The batched dispatch kernel: one BatchRunner interleaving four
-    cells, the unit of work ``run_cells(batch=N)`` amortizes."""
-    workloads = {name: get_workload(name) for name in CORE_WORKLOADS}
-    traces = {
-        name: workload.trace(CORE_INSTRUCTIONS)
-        for name, workload in workloads.items()
-    }
-
-    def run():
-        runner = BatchRunner()
-        for config in (R10_64, DKIP_2048):
-            for name, workload in workloads.items():
-                runner.add_simulation(
-                    (config.name, name), config, traces[name],
-                    regions=workload.regions,
-                )
-        return runner.run()
-
-    outcomes = benchmark.pedantic(run, rounds=2, iterations=1)
-    assert all(outcome == "ok" for outcome, _ in outcomes.values())
 
 
 @pytest.mark.benchmark(group="simulator-throughput")

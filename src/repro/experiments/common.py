@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import itertools
 import json
 import os
 import time
@@ -29,20 +28,14 @@ from typing import Sequence
 
 from repro.memory import DEFAULT_MEMORY, MemoryConfig, MemoryHierarchy, warm_caches
 from repro.resilience import (
-    RETRYABLE,
-    CellExecutionError,
-    CellFailure,
     ExecutionPolicy,
     FailureReport,
     ResilientExecutor,
     active_policy,
     active_report,
     cell_label,
-    classify_exception,
-    plan_from_env,
     run_attempts,
 )
-from repro.sim.batch import BatchRunner
 from repro.sim.runner import MachineConfig, run_core, simulate
 from repro.sim.stats import SimStats
 from repro.store import CellKey, ResultStore, cell_key, from_jsonable
@@ -168,28 +161,6 @@ def resolve_jobs(jobs: int | None, num_tasks: int) -> int:
     return max(1, min(jobs, num_tasks))
 
 
-def resolve_batch(batch: int | None) -> int:
-    """Batch-size policy: explicit argument > ``REPRO_BATCH`` > 1 (off).
-
-    A batch of N makes N cells one unit of dispatch: one worker steps
-    them round-robin through :class:`repro.sim.batch.BatchRunner`,
-    amortizing process dispatch, trace decode and warm-up across the
-    batch.  Cells still persist and retry individually by fingerprint.
-    """
-    if batch is None:
-        env = os.environ.get("REPRO_BATCH", "").strip()
-        if env:
-            try:
-                batch = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_BATCH must be an integer batch size, got {env!r}"
-                ) from None
-        else:
-            batch = 1
-    return max(1, batch)
-
-
 #: Per-process workload memo behind :func:`_worker_workload`.
 _WORKER_WORKLOADS: dict[tuple[str, int], Workload] = {}
 
@@ -233,287 +204,6 @@ def _run_pair(task) -> SimStats:
     return stats
 
 
-#: Worker-process warm-up cache shared by every batch the worker runs.
-#: Parent-side snapshots (shipped in the task tuple) take priority; this
-#: covers the no-store-snapshot path so a batch warms each (memory,
-#: workload) pair once instead of once per cell.
-_WORKER_WARM: WarmupCache | None = None
-
-
-def _batch_hierarchy(memory: MemoryConfig, workload, snapshot) -> MemoryHierarchy:
-    """A warmed hierarchy for one batch cell, preferring the shipped
-    snapshot and falling back to the worker-local warm-up cache."""
-    global _WORKER_WARM
-    if snapshot is None:
-        if _WORKER_WARM is None:
-            _WORKER_WARM = WarmupCache()
-        snapshot = _WORKER_WARM.snapshot_for(memory, workload)
-    hierarchy = MemoryHierarchy(memory)
-    hierarchy.restore(snapshot)
-    return hierarchy
-
-
-def _run_batch(payload, attempt: int = 0):
-    """Pool worker: run a batch of cells, streaming one partial per cell.
-
-    *payload* is a list of ``(position, label, task)`` entries (task as
-    in :func:`_run_pair`); the returned generator yields
-    ``(position, ("ok", stats, None))`` or
-    ``(position, ("error", None, failure_info))`` as each cell resolves,
-    which :func:`repro.resilience.executor._worker_main` forwards as
-    ``"partial"`` messages.  Per-cell fault injection happens at each
-    cell's *completion* point with the cell's own label and the batch's
-    dispatch attempt: ``transient``/``fail`` clauses take down only that
-    cell, while a ``kill`` clause takes the worker — and the driver then
-    requeues only the positions that have not streamed yet.
-    """
-    from repro.resilience.executor import _failure_info
-
-    plan = plan_from_env()
-    runner = BatchRunner()
-    errors: list[tuple[int, dict]] = []
-    labels = {}
-    for position, label, task in payload:
-        labels[position] = label
-        config, name, num_instructions, memory, seed, snapshot, max_cycles = task
-        try:
-            workload = _worker_workload(name, seed)
-            runner.add_simulation(
-                position,
-                config,
-                workload.trace(num_instructions),
-                hierarchy=_batch_hierarchy(memory, workload, snapshot),
-                max_cycles=max_cycles,
-                workload_name=workload.name,
-            )
-        except Exception as error:  # noqa: BLE001 - isolated per cell
-            errors.append((position, _failure_info(error)))
-    for position, info in errors:
-        yield position, ("error", None, info)
-    for position, outcome, value in runner.stream():
-        if outcome == "ok" and plan is not None:
-            try:
-                plan.inject_cell(labels[position], attempt)
-            except Exception as error:  # noqa: BLE001 - isolated per cell
-                yield position, ("error", None, _failure_info(error))
-                continue
-        if outcome == "ok":
-            yield position, ("ok", value, None)
-        else:
-            yield position, ("error", None, _failure_info(value))
-
-
-#: The executor calls batch bodies with the dispatch attempt so injected
-#: faults key to ``<cell label>#<attempt>`` exactly like single cells.
-_run_batch.wants_attempt = True
-
-
-def _prune_batch(payload, done: set):
-    """Drop the batch entries whose positions already streamed a partial
-    (the executor calls this when requeueing after a worker death)."""
-    return [entry for entry in payload if entry[0] not in done]
-
-
-def _make_task(
-    config: MachineConfig,
-    name: str,
-    num_instructions: int,
-    pool: WorkloadPool,
-    memory: MemoryConfig,
-    warm_cache: WarmupCache | None,
-    max_cycles: int | None,
-) -> tuple:
-    """One pool-worker task tuple, warming the shared snapshot up front."""
-    return (
-        config,
-        name,
-        num_instructions,
-        memory,
-        pool.seed,
-        None if warm_cache is None else warm_cache.snapshot_for(memory, pool.get(name)),
-        max_cycles,
-    )
-
-
-def _handle_cell_error(
-    index: int,
-    label: str,
-    kind: str,
-    error: str,
-    message: str,
-    trace: str,
-    policy: ExecutionPolicy,
-    report: FailureReport,
-    retry: list[int],
-) -> None:
-    """One batch cell failed: queue a retry or record the final failure.
-
-    Mirrors :func:`repro.resilience.run_attempts`'s classification for
-    cells that already ran once inside a batch — retryable failures go
-    to *retry* for individual re-dispatch, permanent ones become a
-    :class:`CellFailure` and count against the policy's failure budget.
-    """
-    if kind == RETRYABLE and policy.retries > 0:
-        report.retries += 1
-        retry.append(index)
-        return
-    failure = CellFailure(
-        index=index, cell=label, kind=kind, error=error,
-        message=message, traceback=trace, attempts=1, duration=0.0,
-    )
-    report.record(failure)
-    budget = policy.max_failures
-    if budget is not None and len(report.failures) > budget:
-        raise CellExecutionError(failure, report)
-
-
-def _run_cells_batched(
-    cells,
-    num_instructions: int,
-    pool: WorkloadPool,
-    jobs: int,
-    warm_cache: WarmupCache | None,
-    store: ResultStore | None,
-    max_cycles: int | None,
-    policy: ExecutionPolicy,
-    report: FailureReport,
-    labels: dict[int, str],
-    results: list,
-    keys: list,
-    pending: list[int],
-    batch_size: int,
-) -> None:
-    """Run *pending* cells in batches of *batch_size* (the tentpole path).
-
-    Each batch is one unit of dispatch: in-process when no pool or
-    deadline is needed, else one :class:`ResilientExecutor` task whose
-    worker streams a partial message per finished cell.  Cells persist
-    to *store* individually as their partials arrive — a killed worker
-    requeues only the batch's unfinished fingerprints — and a cell that
-    fails inside a healthy batch fails alone: retryable errors re-run
-    individually after the batch round, permanent ones (``DeadlockError``)
-    become per-cell failure records while the siblings' results stand.
-    In pool mode the report's ``cells``/``completed`` counters count
-    dispatch units (batches); failure records are always per cell.
-    """
-    chunks = [
-        pending[start : start + batch_size]
-        for start in range(0, len(pending), batch_size)
-    ]
-    retry: list[int] = []
-
-    def complete(index: int, stats: SimStats) -> None:
-        if store is not None:
-            store.put(keys[index], stats)
-        results[index] = stats
-
-    if jobs <= 1 and policy.cell_timeout is None:
-        # In-process: one BatchRunner per chunk, one shared WarmupCache
-        # across every chunk (callers without a warm_cache still get the
-        # per-(memory, workload) warm-up amortized batch-wide).
-        shared_warm = warm_cache if warm_cache is not None else WarmupCache()
-        for chunk in chunks:
-            runner = BatchRunner()
-            broken: list[tuple[int, Exception]] = []
-            for index in chunk:
-                report.cells += 1
-                config, name, memory = cells[index]
-                try:
-                    workload = pool.get(name)
-                    runner.add_simulation(
-                        index,
-                        config,
-                        workload.trace(num_instructions),
-                        hierarchy=shared_warm.hierarchy_for(memory, workload),
-                        max_cycles=max_cycles,
-                        workload_name=workload.name,
-                    )
-                except Exception as error:  # noqa: BLE001 - per-cell isolation
-                    broken.append((index, error))
-            outcomes = [(i, "error", err) for i, err in broken]
-            for index, outcome, value in itertools.chain(
-                outcomes, runner.stream()
-            ):
-                if outcome == "ok":
-                    report.completed += 1
-                    complete(index, value)
-                else:
-                    _handle_cell_error(
-                        index, labels[index], classify_exception(value),
-                        type(value).__name__, str(value), "", policy, report,
-                        retry,
-                    )
-        for index in retry:
-            config, name, memory = cells[index]
-
-            def compute(config=config, name=name, memory=memory) -> SimStats:
-                return run_core(
-                    config,
-                    pool.get(name),
-                    num_instructions,
-                    memory=memory,
-                    warm_cache=shared_warm,
-                    max_cycles=max_cycles,
-                )
-
-            stats = run_attempts(
-                index, labels[index], compute, policy, report, count_cell=False
-            )
-            if stats is not None:
-                complete(index, stats)
-        return
-
-    # Pool path: one executor task per chunk.  Batch labels carry only
-    # positions so ``$REPRO_FAULT`` match clauses aimed at cells fire at
-    # the per-cell injection points inside the worker, not per batch.
-    tasks = []
-    for batch_index, chunk in enumerate(chunks):
-        payload = [
-            (
-                index,
-                labels[index],
-                _make_task(
-                    cells[index][0], cells[index][1], num_instructions,
-                    pool, cells[index][2], warm_cache, max_cycles,
-                ),
-            )
-            for index in chunk
-        ]
-        tasks.append((batch_index, f"batch:{batch_index}(n={len(chunk)})", payload))
-
-    def on_partial(_batch_index: int, position: int, value) -> None:
-        status, stats, info = value
-        if status == "ok":
-            complete(position, stats)
-        else:
-            _handle_cell_error(
-                position, labels[position], info["kind"], info["error"],
-                info["message"], info.get("traceback", ""), policy, report,
-                retry,
-            )
-
-    executor = ResilientExecutor(
-        _run_batch, min(jobs, len(tasks)), policy, report, prune=_prune_batch
-    )
-    executor.run(tasks, on_partial=on_partial)
-    if retry:
-        retry_tasks = [
-            (
-                index,
-                labels[index],
-                _make_task(
-                    cells[index][0], cells[index][1], num_instructions,
-                    pool, cells[index][2], warm_cache, max_cycles,
-                ),
-            )
-            for index in retry
-        ]
-        singles = ResilientExecutor(
-            _run_pair, min(jobs, len(retry_tasks)), policy, report
-        )
-        singles.run(retry_tasks, complete)
-
-
 def run_cells(
     cells: Sequence[tuple[MachineConfig, str, MemoryConfig]],
     num_instructions: int,
@@ -525,7 +215,6 @@ def run_cells(
     max_cycles: int | None = None,
     policy: ExecutionPolicy | None = None,
     report: FailureReport | None = None,
-    batch: int | None = None,
 ) -> list[SimStats | None]:
     """Run every (config, benchmark, memory) cell, store-first, in order.
 
@@ -543,11 +232,6 @@ def run_cells(
     failure raises :class:`repro.resilience.CellExecutionError` naming
     the offending cell.  Under a tolerant policy, failed cells come
     back as ``None`` and their typed failure records land in *report*.
-
-    *batch* (default: ``$REPRO_BATCH``, else 1) groups that many cells
-    into one dispatch unit stepped round-robin by a
-    :class:`repro.sim.batch.BatchRunner`; per-cell results are
-    bit-identical to unbatched runs and still store/retry individually.
     """
     results: list[SimStats | None] = [None] * len(cells)
     keys: list[CellKey | None] = [None] * len(cells)
@@ -567,17 +251,6 @@ def run_cells(
             report = FailureReport()
     labels = {i: cell_label(*cells[i]) for i in pending}
     jobs = resolve_jobs(jobs, len(pending))
-    batch_size = resolve_batch(batch)
-    if batch_size > 1:
-        # Batched dispatch (REPRO_BATCH or the ``batch`` argument): N
-        # cells per worker turn through one BatchRunner sweep; results
-        # still stream back — and persist — one fingerprint at a time.
-        _run_cells_batched(
-            cells, num_instructions, pool, jobs, warm_cache, store,
-            max_cycles, policy, report, labels, results, keys, pending,
-            batch_size,
-        )
-        return results
     if jobs <= 1 and policy.cell_timeout is None:
         for i in pending:
             config, name, memory = cells[i]
@@ -602,22 +275,16 @@ def run_cells(
     # workers so the warm-up hoisting survives the fan-out.  The
     # supervised executor enforces deadlines, retries retryable
     # failures, and respawns dead workers, requeueing only their cells.
-    tasks = [
-        (
-            i,
-            labels[i],
-            _make_task(
-                cells[i][0],
-                cells[i][1],
-                num_instructions,
-                pool,
-                cells[i][2],
-                warm_cache,
-                max_cycles,
-            ),
+    tasks = []
+    for i in pending:
+        config, name, memory = cells[i]
+        snapshot = (
+            None if warm_cache is None
+            else warm_cache.snapshot_for(memory, pool.get(name))
         )
-        for i in pending
-    ]
+        task = (config, name, num_instructions, memory, pool.seed, snapshot,
+                max_cycles)
+        tasks.append((i, labels[i], task))
 
     def on_result(i: int, stats: SimStats) -> None:
         if store is not None:

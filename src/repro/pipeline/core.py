@@ -231,98 +231,6 @@ class CycleCore:
         self._copy_memory_stats()
         return self.stats
 
-    def drive(
-        self,
-        num_instructions: int,
-        max_cycles: int | None = None,
-        fast_forward: bool | None = None,
-        round_budget: int = 4096,
-    ):
-        """Cooperative twin of :meth:`run` for interleaved execution.
-
-        A generator that simulates exactly what ``run()`` with the same
-        arguments would, but yields ``self.now`` at pause points — after
-        every fast-forward jump, and after at most *round_budget*
-        consecutively ticked cycles — so a :class:`repro.sim.batch.BatchRunner`
-        can step several independent machines round-robin in one process.
-        The final :class:`SimStats` record is the generator's return value
-        (``StopIteration.value``).  The loop bodies mirror ``run()``
-        statement for statement; ``tests/sim/test_batch.py`` asserts the
-        whole stats record is bit-identical between the two drivers for
-        every registered machine kind.
-        """
-        if fast_forward is None:
-            fast_forward = self.fast_forward
-        if max_cycles is None:
-            max_cycles = 20_000 + num_instructions * 2_000
-        target = num_instructions
-        events = self._events
-        step = self.step
-        next_work_cycle = self.next_work_cycle
-        next_event_cycle = self.next_event_cycle
-        ticked = 0
-        if not fast_forward:
-            while self.committed < target:
-                step()
-                self.now += 1
-                if self.now > max_cycles:
-                    raise DeadlockError(
-                        f"{self.name}: no forward progress — committed "
-                        f"{self.committed}/{target} after {self.now} cycles"
-                    )
-                ticked += 1
-                if ticked >= round_budget:
-                    ticked = 0
-                    yield self.now
-            self.stats.committed = self.committed
-            self.stats.cycles = self.now
-            self._copy_memory_stats()
-            return self.stats
-        while self.committed < target:
-            step()
-            self.now += 1
-            if self.now > max_cycles:
-                raise DeadlockError(
-                    f"{self.name}: no forward progress — committed "
-                    f"{self.committed}/{target} after {self.now} cycles"
-                )
-            if self.committed >= target:
-                continue
-            ticked += 1
-            if self.now in events or (
-                (wake := next_work_cycle()) is not None and wake <= self.now
-            ):
-                # Busy next cycle (completions due or pipeline work
-                # possible): keep ticking, pausing only on budget.
-                if ticked >= round_budget:
-                    ticked = 0
-                    yield self.now
-                continue
-            event = next_event_cycle()
-            if event is None and wake is None:
-                raise DeadlockError(
-                    f"{self.name}: machine is quiescent with no pending "
-                    f"events — committed {self.committed}/{target} at cycle "
-                    f"{self.now}; {self.describe_stall()}"
-                )
-            jump = event if wake is None else (wake if event is None else min(wake, event))
-            if jump > max_cycles:
-                raise DeadlockError(
-                    f"{self.name}: no forward progress — committed "
-                    f"{self.committed}/{target}; next activity at cycle "
-                    f"{jump} exceeds the {max_cycles}-cycle bound"
-                )
-            if jump > self.now:
-                self.on_cycles_skipped(self.now, jump)
-                self.cycles_fast_forwarded += jump - self.now
-                self.now = jump
-            ticked = 0
-            yield self.now
-        self.stats.committed = self.committed
-        self.stats.cycles = self.now
-        self._copy_memory_stats()
-        return self.stats
-
     def describe_stall(self) -> str:
         """One-line description of what the machine is waiting on, used in
         deadlock diagnostics.  Subclasses may extend."""

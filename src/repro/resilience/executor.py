@@ -175,14 +175,6 @@ def _worker_main(conn, fn: Callable[[Any], Any]) -> None:
 
     The fault plan (``$REPRO_FAULT``) injects here — before the cell
     body — so ``kill`` clauses take down this process, never the driver.
-
-    Streaming tasks: when *fn* returns a generator, each yielded
-    ``(position, value)`` pair is sent as its own ``"partial"`` message
-    before the terminal ``"ok"``.  Batch bodies use this to report each
-    cell inside the batch as it finishes, so the driver knows exactly
-    which cells survive a mid-batch worker death.  A *fn* carrying a
-    truthy ``wants_attempt`` attribute is called ``fn(payload, attempt)``
-    so it can key per-cell fault injection to the dispatch attempt.
     """
     while True:
         try:
@@ -196,14 +188,7 @@ def _worker_main(conn, fn: Callable[[Any], Any]) -> None:
             plan = plan_from_env()
             if plan is not None:
                 plan.inject_cell(label, attempt)
-            if getattr(fn, "wants_attempt", False):
-                result = fn(payload, attempt)
-            else:
-                result = fn(payload)
-            if hasattr(result, "__next__"):
-                for position, value in result:
-                    conn.send((index, attempt, "partial", (position, value), None))
-                result = None
+            result = fn(payload)
         except KeyboardInterrupt:
             return
         except BaseException as error:  # noqa: BLE001 - classified, not dropped
@@ -222,17 +207,9 @@ def _worker_main(conn, fn: Callable[[Any], Any]) -> None:
 
 
 class _Task:
-    """One dispatch unit's state (attempt counter, backoff deadline).
+    """One cell's dispatch state (attempt counter, backoff deadline)."""
 
-    ``done`` collects the positions reported by ``"partial"`` messages
-    (streaming/batch tasks only); a requeue prunes the payload to the
-    positions still outstanding.
-    """
-
-    __slots__ = (
-        "index", "label", "payload", "attempt", "not_before", "first_start",
-        "done",
-    )
+    __slots__ = ("index", "label", "payload", "attempt", "not_before", "first_start")
 
     def __init__(self, index: int, label: str, payload: Any) -> None:
         self.index = index
@@ -241,7 +218,6 @@ class _Task:
         self.attempt = 0
         self.not_before = 0.0
         self.first_start: float | None = None
-        self.done: set = set()
 
 
 class _Worker:
@@ -275,17 +251,11 @@ class ResilientExecutor:
         jobs: int,
         policy: ExecutionPolicy = STRICT,
         report: FailureReport | None = None,
-        prune: Callable[[Any, set], Any] | None = None,
     ) -> None:
         self.fn = fn
         self.jobs = max(1, jobs)
         self.policy = policy
         self.report = report if report is not None else FailureReport()
-        #: For streaming tasks: ``prune(payload, done_positions)`` returns
-        #: the payload a *requeued* task should carry, dropping the work
-        #: already reported via partial messages (batch cells that
-        #: finished before a worker death are not recomputed).
-        self.prune = prune
         self._workers: list[_Worker] = []
 
     # -- lifecycle ------------------------------------------------------
@@ -333,8 +303,6 @@ class ResilientExecutor:
         """Schedule *task*'s next attempt after its backoff delay."""
         task.attempt += 1
         self.report.retries += 1
-        if self.prune is not None and task.done:
-            task.payload = self.prune(task.payload, task.done)
         delay = self.policy.backoff_for(task.label, task.attempt)
         if delay <= 0:
             pending.append(task)
@@ -370,7 +338,6 @@ class ResilientExecutor:
         self,
         tasks: Sequence[tuple[int, str, Any]],
         on_result: Callable[[int, Any], None] | None = None,
-        on_partial: Callable[[int, Any, Any], None] | None = None,
     ) -> dict[int, Any]:
         """Execute every ``(index, label, payload)`` task; return results.
 
@@ -379,12 +346,6 @@ class ResilientExecutor:
         :class:`~repro.resilience.report.CellFailure` records live in
         ``self.report``).  ``on_result(index, result)`` fires in the
         driver as each cell completes, in completion order.
-
-        ``on_partial(index, position, value)`` fires for every streamed
-        partial a task reports before completing (batch bodies stream one
-        per inner cell).  A partial also resets the task's deadline clock,
-        so ``policy.cell_timeout`` bounds the gap *between* partials — a
-        per-cell deadline — rather than the whole batch.
         """
         results: dict[int, Any] = {}
         self.report.cells += len(tasks)
@@ -426,8 +387,7 @@ class ResilientExecutor:
                         remaining -= self._on_death(worker, now, pending, delayed)
                         continue
                     remaining -= self._on_message(
-                        worker, message, now, results, on_result, on_partial,
-                        pending, delayed,
+                        worker, message, now, results, on_result, pending, delayed
                     )
                 if self.policy.cell_timeout is not None:
                     for worker in [w for w in self._workers if w.task is not None]:
@@ -477,21 +437,11 @@ class ResilientExecutor:
 
     def _on_message(
         self, worker: _Worker, message, now: float, results: dict, on_result,
-        on_partial, pending: deque, delayed: list,
+        pending: deque, delayed: list,
     ) -> int:
         """Handle one worker report; return 1 when its cell is resolved."""
         task = worker.task
         index, _attempt, status, result, info = message
-        if status == "partial":
-            # The worker is still on this task: record the finished
-            # position (a requeue prunes it) and restart the deadline
-            # clock so cell_timeout is a per-cell bound, not per-batch.
-            position, value = result
-            task.done.add(position)
-            worker.started = now
-            if on_partial is not None:
-                on_partial(index, position, value)
-            return 0
         worker.task = None
         if status == "ok":
             results[index] = result
@@ -560,7 +510,6 @@ def run_attempts(
     policy: ExecutionPolicy,
     report: FailureReport,
     sleep: Callable[[float], None] = time.sleep,
-    count_cell: bool = True,
 ):
     """Run one cell in-process under *policy*; ``None`` marks a failure.
 
@@ -572,12 +521,8 @@ def run_attempts(
     :class:`ResilientExecutor` (a process can only be killed from
     outside).  Fault injection stays off here for the same reason: a
     ``kill`` clause would take down the driver.
-
-    *count_cell* is False when the caller already counted this cell in
-    ``report.cells`` (the batched path re-dispatching a failed cell).
     """
-    if count_cell:
-        report.cells += 1
+    report.cells += 1
     start = time.monotonic()
     attempt = 0
     while True:

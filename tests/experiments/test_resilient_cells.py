@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.experiments import cli
 from repro.experiments.common import WorkloadPool, resolve_jobs, run_cells
 from repro.machines import parse_machine
 from repro.memory import DEFAULT_MEMORY
+from repro.memory.configs import TABLE1_CONFIGS
 from repro.resilience import (
     STRICT,
     CellExecutionError,
     ExecutionPolicy,
     FailureReport,
 )
+from repro.store import ResultStore
 
 
 @pytest.fixture
@@ -57,6 +61,51 @@ def test_deadlocked_cell_is_tolerated_under_a_budget(pool, config):
     assert flat == [None, None]
     assert [f.error for f in report.failures] == ["DeadlockError"] * 2
     assert report.retries == 0
+
+
+# ----------------------------------------------------------------------
+# A failing cell fails alone: its siblings complete (and persist)
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_deadlocking_cell_fails_alone_and_its_sibling_persists(
+    tmp_path, pool, jobs
+):
+    r10 = parse_machine("r10")
+    cells = [
+        (r10, "mcf", TABLE1_CONFIGS["MEM-400"]),   # ~11k cycles at 600 insns
+        (r10, "swim", TABLE1_CONFIGS["MEM-100"]),  # ~800 cycles
+    ]
+    store = ResultStore(tmp_path)
+    report = FailureReport()
+    got = run_cells(
+        cells, 600, pool, jobs=jobs, store=store, max_cycles=3000,
+        policy=ExecutionPolicy(retries=0, max_failures=1), report=report,
+    )
+    assert got[0] is None
+    assert got[1] is not None and got[1].committed == 600
+    (failure,) = report.failures
+    assert failure.error == "DeadlockError"
+    assert "mcf" in failure.cell
+    assert store.writes == 1  # only the surviving sibling persisted
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unknown_benchmark_fails_alone(pool, config, jobs):
+    cells = [
+        (config, "swim", TABLE1_CONFIGS["MEM-100"]),
+        (config, "no-such-benchmark", DEFAULT_MEMORY),
+    ]
+    report = FailureReport()
+    got = run_cells(
+        cells, 400, pool, jobs=jobs, store=None,
+        policy=ExecutionPolicy(retries=0, max_failures=1), report=report,
+    )
+    assert got[0] is not None and got[0].committed == 400
+    assert got[1] is None
+    (failure,) = report.failures
+    assert "no-such-benchmark" in failure.cell
 
 
 # ----------------------------------------------------------------------
@@ -108,6 +157,11 @@ def test_explicit_strict_policy_matches_the_default_path(pool, config):
     assert [s.to_dict() for s in plain] == [s.to_dict() for s in pooled]
 
 
+def _mask_elapsed(out: str) -> str:
+    """Blank the wall-clock field of table titles (``[scale=quick, 0.1s]``)."""
+    return re.sub(r"\d+\.\d+s\]", "Xs]", out)
+
+
 def test_cli_max_failures_zero_matches_the_flagless_run(capsys, monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "2")
     argv = [
@@ -118,7 +172,7 @@ def test_cli_max_failures_zero_matches_the_flagless_run(capsys, monkeypatch):
     flagless = capsys.readouterr().out
     assert cli.main(argv + ["--max-failures", "0"]) == 0
     strict = capsys.readouterr().out
-    assert strict == flagless
+    assert _mask_elapsed(strict) == _mask_elapsed(flagless)
 
 
 # ----------------------------------------------------------------------
