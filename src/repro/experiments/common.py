@@ -2,14 +2,18 @@
 
 Three pieces keep the figure sweeps fast:
 
-* :func:`run_suite` / :func:`run_many` fan simulations out over a process
-  pool — one worker task per (machine config, workload) pair — sized by
-  the ``REPRO_JOBS`` environment variable (default: the machine's CPU
-  count).  Results always come back in input order, so harness tables are
-  bit-identical to the serial path.
-* :class:`WarmupCache` runs the functional cache warm-up once per
-  (memory config, workload) and hands out snapshot-restored hierarchies,
-  instead of re-streaming the working set for every swept parameter.
+* :func:`run_cells` (and its one-config wrapper :func:`run_suite`) fans
+  simulations out over a process pool — one worker task per (machine
+  config, workload, memory) cell — sized by the ``REPRO_JOBS``
+  environment variable (default: the machine's CPU count).  Results
+  always come back in input order, so harness tables are bit-identical
+  to the serial path.
+* :data:`WARMUP`, this process's :class:`WarmupCache`, runs the
+  functional cache warm-up once per (cache geometry, workload regions)
+  and hands out snapshot-restored hierarchies, instead of re-streaming
+  the working set for every swept parameter.  Every cell path — serial,
+  pool worker, service worker — passes it to
+  :func:`repro.sim.runner.run_core`; each process fills its own.
 * A :class:`repro.store.ResultStore` (the ``store=`` argument) is
   consulted before any cell is dispatched and written back as each cell
   completes, so repeated sweeps cost only the delta and an interrupted
@@ -36,7 +40,7 @@ from repro.resilience import (
     cell_label,
     run_attempts,
 )
-from repro.sim.runner import MachineConfig, run_core, simulate
+from repro.sim.runner import MachineConfig, run_core
 from repro.sim.stats import SimStats
 from repro.store import CellKey, ResultStore, cell_key, from_jsonable
 from repro.viz.ascii import table
@@ -94,51 +98,6 @@ class WorkloadPool:
         return workload
 
 
-class WarmupCache:
-    """Caches warmed-hierarchy snapshots keyed by (memory config, workload).
-
-    The functional warm-up streams a workload's whole data region through
-    the hierarchy; sweeps re-run it for every swept parameter even though
-    the resulting cache state only depends on the memory configuration and
-    the workload.  This cache warms once and restores a snapshot for every
-    later request.  Only useful on the serial path — pool workers live in
-    other processes and warm for themselves.
-    """
-
-    def __init__(self, passes: int = 1) -> None:
-        self.passes = passes
-        self._snapshots: dict[tuple, dict] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def hierarchy_for(self, memory: MemoryConfig, workload) -> MemoryHierarchy:
-        """A hierarchy warmed for *workload*, restored from cache if seen."""
-        hierarchy = MemoryHierarchy(memory)
-        hierarchy.restore(self.snapshot_for(memory, workload))
-        return hierarchy
-
-    def snapshot_for(self, memory: MemoryConfig, workload) -> dict:
-        """The warmed snapshot for (memory, workload), warming on first use.
-
-        Also used directly by the process-pool path: snapshots are
-        picklable, so the parent warms once and ships the state to workers
-        in the task tuple instead of every worker re-streaming the working
-        set.
-        """
-        key = (memory, workload.name, workload.seed)
-        snapshot = self._snapshots.get(key)
-        if snapshot is None:
-            self.misses += 1
-            hierarchy = MemoryHierarchy(memory)
-            if workload.regions:
-                warm_caches(hierarchy, workload.regions, passes=self.passes)
-            snapshot = hierarchy.snapshot()
-            self._snapshots[key] = snapshot
-        else:
-            self.hits += 1
-        return snapshot
-
-
 # ----------------------------------------------------------------------
 # Suite runners (serial or process-pool)
 # ----------------------------------------------------------------------
@@ -161,6 +120,62 @@ def resolve_jobs(jobs: int | None, num_tasks: int) -> int:
     return max(1, min(jobs, num_tasks))
 
 
+def _geometry_key(memory: MemoryConfig) -> tuple:
+    """What of *memory* the warmed cache state depends on: the cache
+    geometry and whether main memory is present, never the latencies."""
+    return (
+        memory.line_size,
+        (memory.l1_size, memory.l1_assoc),
+        None if memory.l2_latency is None else (memory.l2_size, memory.l2_assoc),
+        memory.mem_latency is not None,
+    )
+
+
+class WarmupCache:
+    """Warmed-hierarchy snapshots keyed by (cache geometry, workload regions).
+
+    The functional warm-up streams a workload's data regions through the
+    hierarchy; sweeps would re-run it for every swept parameter even
+    though the resulting state only depends on the cache geometry and
+    the regions.  This cache warms once per key and restores a snapshot
+    for every later request, keeping the newest :attr:`LIMIT` keys.
+    """
+
+    #: Snapshots kept; the oldest is evicted first.
+    LIMIT = 16
+
+    def __init__(self) -> None:
+        self._snapshots: dict[tuple, dict] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def hierarchy_for(self, memory: MemoryConfig, workload) -> MemoryHierarchy:
+        """A hierarchy warmed for *workload*, restored from cache if seen."""
+        hierarchy = MemoryHierarchy(memory)
+        hierarchy.restore(self.snapshot_for(memory, workload))
+        return hierarchy
+
+    def snapshot_for(self, memory: MemoryConfig, workload) -> dict:
+        """The warmed snapshot for (memory, workload), warming on first use."""
+        regions = tuple(workload.regions)
+        key = (_geometry_key(memory), regions)
+        snapshot = self._snapshots.get(key)
+        if snapshot is not None:
+            self.hits += 1
+            return snapshot
+        self.misses += 1
+        hierarchy = MemoryHierarchy(memory)
+        warm_caches(hierarchy, regions)
+        snapshot = hierarchy.snapshot()
+        if len(self._snapshots) >= self.LIMIT:
+            self._snapshots.pop(next(iter(self._snapshots)))
+        self._snapshots[key] = snapshot
+        return snapshot
+
+
+#: This process's warm-up cache; every cell path hands it to ``run_core``.
+WARMUP = WarmupCache()
+
 #: Per-process workload memo behind :func:`_worker_workload`.
 _WORKER_WORKLOADS: dict[tuple[str, int], Workload] = {}
 
@@ -180,28 +195,20 @@ def _worker_workload(name: str, seed: int) -> Workload:
 def _run_pair(task) -> SimStats:
     """Pool worker: simulate one (config, workload, memory) cell.
 
-    Module-level (picklable) and self-contained: the workload is rebuilt
-    from its name and seed inside the worker, so only small config objects
-    (plus, optionally, a pre-warmed cache snapshot) cross the process
+    Module-level (picklable) and self-contained: the workload comes from
+    the worker's own memo and the warmed caches from the worker's own
+    :data:`WARMUP`, so only small config objects cross the process
     boundary.
     """
-    config, name, num_instructions, memory, seed, snapshot, max_cycles = task
-    workload = _worker_workload(name, seed)
-    if snapshot is None:
-        return run_core(
-            config, workload, num_instructions, memory=memory, max_cycles=max_cycles
-        )
-    hierarchy = MemoryHierarchy(memory)
-    hierarchy.restore(snapshot)
-    stats = simulate(
+    config, name, num_instructions, memory, seed, max_cycles = task
+    return run_core(
         config,
-        workload.trace(num_instructions),
+        _worker_workload(name, seed),
+        num_instructions,
         memory=memory,
-        hierarchy=hierarchy,
+        warm_cache=WARMUP,
         max_cycles=max_cycles,
     )
-    stats.workload = workload.name
-    return stats
 
 
 def run_cells(
@@ -209,7 +216,6 @@ def run_cells(
     num_instructions: int,
     pool: WorkloadPool,
     jobs: int | None = None,
-    warm_cache: WarmupCache | None = None,
     store: ResultStore | None = None,
     force: bool = False,
     max_cycles: int | None = None,
@@ -261,7 +267,7 @@ def run_cells(
                     pool.get(name),
                     num_instructions,
                     memory=memory,
-                    warm_cache=warm_cache,
+                    warm_cache=WARMUP,
                     max_cycles=max_cycles,
                 )
 
@@ -271,19 +277,13 @@ def run_cells(
                     store.put(keys[i], stats)
                 results[i] = stats
         return results
-    # Parallel path: warm once in the parent and ship snapshots to the
-    # workers so the warm-up hoisting survives the fan-out.  The
-    # supervised executor enforces deadlines, retries retryable
-    # failures, and respawns dead workers, requeueing only their cells.
+    # Parallel path: the supervised executor enforces deadlines, retries
+    # retryable failures, and respawns dead workers, requeueing only
+    # their cells.
     tasks = []
     for i in pending:
         config, name, memory = cells[i]
-        snapshot = (
-            None if warm_cache is None
-            else warm_cache.snapshot_for(memory, pool.get(name))
-        )
-        task = (config, name, num_instructions, memory, pool.seed, snapshot,
-                max_cycles)
+        task = (config, name, num_instructions, memory, pool.seed, max_cycles)
         tasks.append((i, labels[i], task))
 
     def on_result(i: int, stats: SimStats) -> None:
@@ -303,7 +303,6 @@ def run_suite(
     pool: WorkloadPool,
     memory: MemoryConfig = DEFAULT_MEMORY,
     jobs: int | None = None,
-    warm_cache: WarmupCache | None = None,
     store: ResultStore | None = None,
     force: bool = False,
     max_cycles: int | None = None,
@@ -311,49 +310,7 @@ def run_suite(
     """Simulate every named benchmark on *config*; returns per-run stats
     in the order of *names* regardless of worker scheduling."""
     cells = [(config, name, memory) for name in names]
-    return run_cells(
-        cells, num_instructions, pool, jobs, warm_cache, store, force, max_cycles
-    )
-
-
-def run_many(
-    configs: Sequence[MachineConfig],
-    names: Sequence[str],
-    num_instructions: int,
-    pool: WorkloadPool,
-    memory: MemoryConfig = DEFAULT_MEMORY,
-    jobs: int | None = None,
-    warm_cache: WarmupCache | None = None,
-    store: ResultStore | None = None,
-    force: bool = False,
-    max_cycles: int | None = None,
-) -> list[list[SimStats]]:
-    """Fan the full (config x workload) grid out over one process pool.
-
-    Returns one list of per-workload stats per config, in input order —
-    the same shape as calling :func:`run_suite` once per config, but with
-    every pair in flight at once.
-    """
-    cells = [(config, name, memory) for config in configs for name in names]
-    flat = run_cells(
-        cells, num_instructions, pool, jobs, warm_cache, store, force, max_cycles
-    )
-    stride = len(names)
-    return [flat[i * stride : (i + 1) * stride] for i in range(len(configs))]
-
-
-def _cached_cell(store, force, key, compute) -> SimStats:
-    """The store-first pattern every single-cell runner shares: consult
-    *store* under *key* unless forced, else *compute* and write back."""
-    if store is None:
-        return compute()
-    if not force:
-        cached = store.get(key)
-        if cached is not None:
-            return cached
-    stats = compute()
-    store.put(key, stats)
-    return stats
+    return run_cells(cells, num_instructions, pool, jobs, store, force, max_cycles)
 
 
 def run_core_cached(
@@ -362,63 +319,35 @@ def run_core_cached(
     num_instructions: int,
     memory: MemoryConfig = DEFAULT_MEMORY,
     predictor_name: str | None = None,
-    warm_cache: WarmupCache | None = None,
     store: ResultStore | None = None,
     force: bool = False,
 ) -> SimStats:
-    """Store-aware :func:`repro.sim.runner.run_core` for single cells."""
+    """Store-aware :func:`repro.sim.runner.run_core` for single cells.
+
+    Works for any registered machine kind.  A store hit never simulates
+    and never warms: a benchmark whose cells are all stored skips its
+    warm-up entirely.
+    """
     key = None
     if store is not None:
         key = cell_key(
             config, workload, num_instructions, memory, predictor=predictor_name
         )
-    return _cached_cell(
-        store,
-        force,
-        key,
-        lambda: run_core(
-            config,
-            workload,
-            num_instructions,
-            memory=memory,
-            predictor_name=predictor_name,
-            warm_cache=warm_cache,
-        ),
+        if not force:
+            cached = store.get(key)
+            if cached is not None:
+                return cached
+    stats = run_core(
+        config,
+        workload,
+        num_instructions,
+        memory=memory,
+        predictor_name=predictor_name,
+        warm_cache=WARMUP,
     )
-
-
-def run_snapshot_cell(
-    machine: MachineConfig,
-    workload,
-    num_instructions: int,
-    memory: MemoryConfig = DEFAULT_MEMORY,
-    snapshot_factory=None,
-    store: ResultStore | None = None,
-    force: bool = False,
-) -> SimStats:
-    """One store-aware cell with an externally shared warm-up snapshot.
-
-    Works for any registered machine kind (Figures 1-3 use it for the
-    limit core).  *snapshot_factory*, when given, supplies a
-    warmed-hierarchy snapshot (typically shared across a window sweep);
-    it is only invoked on a store miss, so fully cached benchmarks skip
-    warm-up entirely.
-    """
-    def compute() -> SimStats:
-        trace = workload.trace(num_instructions)
-        hierarchy = MemoryHierarchy(memory)
-        if snapshot_factory is not None:
-            hierarchy.restore(snapshot_factory())
-        else:
-            warm_caches(hierarchy, workload.regions)
-        stats = simulate(machine, trace, memory=memory, hierarchy=hierarchy)
-        stats.workload = workload.name
-        return stats
-
-    key = None
     if store is not None:
-        key = cell_key(machine, workload, num_instructions, memory)
-    return _cached_cell(store, force, key, compute)
+        store.put(key, stats)
+    return stats
 
 
 def compute_cell(payload: dict, max_cycles: int | None = None) -> SimStats:
@@ -426,10 +355,10 @@ def compute_cell(payload: dict, max_cycles: int | None = None) -> SimStats:
 
     Rebuilds the machine and memory configurations from their serialized
     form, takes the workload from the per-process memo (a worker
-    generates each trace once across all its cells), and replays the
-    exact execution path the sweeps use, so the result must match the
-    stored stats bit for bit unless simulator behaviour drifted under
-    the fingerprint.
+    generates each trace once across all its cells) and the warmed
+    caches from :data:`WARMUP`, and replays the exact execution path the
+    sweeps use, so the result must match the stored stats bit for bit
+    unless simulator behaviour drifted under the fingerprint.
     Machine construction goes through the kind registry, so limit cells
     and cycle-level cells replay through one path.  *max_cycles* is the
     deadlock-guard bound (not part of the key — it cannot change a
@@ -457,6 +386,7 @@ def compute_cell(payload: dict, max_cycles: int | None = None) -> SimStats:
         num_instructions,
         memory=memory,
         predictor_name=payload.get("predictor"),
+        warm_cache=WARMUP,
         max_cycles=max_cycles,
     )
 

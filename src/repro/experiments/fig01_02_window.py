@@ -19,11 +19,11 @@ from repro.experiments.common import (
     Scale,
     Stopwatch,
     WorkloadPool,
-    run_snapshot_cell,
+    run_core_cached,
     scale_of,
     suite_names,
 )
-from repro.memory import MemoryHierarchy, TABLE1_CONFIGS, warm_caches
+from repro.memory import TABLE1_CONFIGS
 from repro.report.spec import Check, FigureSpec, row_span_ratio, rows_as_series
 from repro.sim.config import LimitMachine
 from repro.viz.ascii import line_chart
@@ -59,35 +59,13 @@ def run(
     with Stopwatch(result):
         for mem_name in mem_names:
             mem_config = TABLE1_CONFIGS[mem_name]
-            # Warm-up depends only on (memory config, workload): warm once
-            # per benchmark, snapshot, and restore for every ROB size
-            # instead of re-streaming the working set per window.
             ipcs_by_window: dict[int, list[float]] = {w: [] for w in windows}
             for bench in names:
                 workload = pool.get(bench)
-                # The warmed snapshot is shared by every window and built
-                # lazily: a benchmark whose cells all hit the store never
-                # streams its working set at all.
-                snapshot = None
-
-                def snapshot_factory():
-                    nonlocal snapshot
-                    if snapshot is None:
-                        warmed = MemoryHierarchy(mem_config)
-                        warm_caches(warmed, workload.regions)
-                        snapshot = warmed.snapshot()
-                    return snapshot
-
                 for window in windows:
                     machine = LimitMachine(rob_size=window, record_histogram=False)
-                    stats = run_snapshot_cell(
-                        machine,
-                        workload,
-                        n,
-                        memory=mem_config,
-                        snapshot_factory=snapshot_factory,
-                        store=store,
-                        force=force,
+                    stats = run_core_cached(
+                        machine, workload, n, memory=mem_config, store=store, force=force
                     )
                     ipcs_by_window[window].append(stats.ipc)
             row: list[object] = [mem_name]

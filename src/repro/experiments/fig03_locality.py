@@ -18,7 +18,7 @@ from repro.experiments.common import (
     Scale,
     Stopwatch,
     WorkloadPool,
-    run_snapshot_cell,
+    run_core_cached,
     scale_of,
     suite_names,
 )
@@ -48,7 +48,7 @@ def run(
         machine = LimitMachine(rob_size=None, record_histogram=True)
         for bench in names:
             workload = pool.get(bench)
-            stats = run_snapshot_cell(
+            stats = run_core_cached(
                 machine, workload, n, memory=DEFAULT_MEMORY, store=store, force=force
             )
             for start, count in stats.issue_distance.bins():

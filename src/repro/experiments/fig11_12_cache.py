@@ -19,10 +19,9 @@ from repro.experiments.common import (
     INSTRUCTIONS,
     Scale,
     Stopwatch,
-    WarmupCache,
     WorkloadPool,
     mean_ipc,
-    run_suite,
+    run_cells,
     scale_of,
     suite_names,
 )
@@ -67,20 +66,28 @@ def run(
         scale=scale,
     )
     series: dict[str, list[tuple[float, float]]] = {}
-    # Every machine re-runs the same (L2 size, workload) warm-up; warm once
-    # per pair and restore snapshots for the other machines.
-    warm_cache = WarmupCache()
+    machines = _machines(scale)
+    # One grid, ordered so that every machine's cell for an (L2 size,
+    # benchmark) pair runs back to back: each process warms that pair
+    # once and restores it for the other machines.
+    cells, points = [], []
+    for size in sizes:
+        memory = memory_config_for_l2_size(size)
+        for name in names:
+            for label, machine in machines:
+                cells.append((machine, name, memory))
+                points.append((label, size))
     with Stopwatch(result):
-        for label, machine in _machines(scale):
+        by_point: dict[tuple[str, int], list] = {}
+        flat = run_cells(cells, n, pool, store=store, force=force)
+        for point, stats in zip(points, flat):
+            by_point.setdefault(point, []).append(stats)
+        for label, _machine in machines:
             row: list[object] = [label]
             first = last = None
             cp_fractions = []
             for size in sizes:
-                memory = memory_config_for_l2_size(size)
-                stats = run_suite(
-                    machine, names, n, pool, memory=memory, warm_cache=warm_cache,
-                    store=store, force=force,
-                )
+                stats = by_point[(label, size)]
                 ipc = mean_ipc(stats)
                 fractions = [s.cp_fraction for s in stats if s.committed_mp or s.committed_cp]
                 cp_fractions.append(sum(fractions) / len(fractions) if fractions else 1.0)

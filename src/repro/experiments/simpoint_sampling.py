@@ -34,7 +34,6 @@ from repro.experiments.common import (
     ExperimentResult,
     Scale,
     Stopwatch,
-    WarmupCache,
     scale_of,
 )
 from repro.experiments.sweep import SweepSpec, sweep_grid
@@ -114,7 +113,6 @@ def run(
     )
     with Stopwatch(result):
         directory = _capture_dir(store)
-        warm_cache = WarmupCache()
         for bench in BENCHES:
             path = _capture(bench, directory, total)
             full_token = f"trace(file={path})"
@@ -129,7 +127,6 @@ def run(
                 scale,
                 store=store,
                 force=force,
-                warm_cache=warm_cache,
             )
             phase_grid = sweep_grid(
                 SweepSpec(
@@ -141,7 +138,6 @@ def run(
                 scale,
                 store=store,
                 force=force,
-                warm_cache=warm_cache,
             )
             expansion = phase_grid.phases[phase_token]
             chart = {}

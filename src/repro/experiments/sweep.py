@@ -26,7 +26,6 @@ from repro.experiments.common import (
     ExperimentResult,
     Scale,
     Stopwatch,
-    WarmupCache,
     WorkloadPool,
     mean_ipc,
     run_cells,
@@ -483,7 +482,6 @@ def sweep_grid(
     store: ResultStore | None = None,
     force: bool = False,
     jobs: int | None = None,
-    warm_cache: WarmupCache | None = None,
 ) -> SweepGrid:
     """Execute every cell of *spec*'s grid (store-first, one process
     pool for the whole grid) and return the indexed results."""
@@ -498,7 +496,6 @@ def sweep_grid(
         plan.instructions,
         pool,
         jobs=jobs,
-        warm_cache=warm_cache,
         store=store,
         force=force,
         max_cycles=spec.max_cycles,
@@ -644,14 +641,7 @@ def run_sweep(
         scale=scale,
     )
     with Stopwatch(result):
-        grid = sweep_grid(
-            spec,
-            scale,
-            store=store,
-            force=force,
-            jobs=jobs,
-            warm_cache=WarmupCache(),
-        )
+        grid = sweep_grid(spec, scale, store=store, force=force, jobs=jobs)
     summarize_grid(grid, result)
     return result
 

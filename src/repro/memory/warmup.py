@@ -13,24 +13,20 @@ so a 4 MB L2 retains working sets a 64 KB L2 cannot.
 
 Warm-up used to dominate short timed runs (profiles showed ~half of every
 benchmark cell spent streaming the working set), so :func:`warm_caches`
-now has two layers of speedup, both state-identical to the reference
-stream:
-
-* **Closed-form LRU tail.**  A single read pass over all-distinct lines
-  through a pristine hierarchy misses every L1 probe, so the final state
-  of each cache level is simply the last ``assoc`` lines mapped to each
-  set, in stream order — installable directly (:meth:`Cache.warm_tail`)
-  without simulating the evictions.
-* **Snapshot memoization.**  The post-warm-up state only depends on the
-  cache geometry, the regions, and the pass count; a module-level memo
-  restores it for repeat warm-ups of pristine hierarchies in the same
-  process (restoring is the same proven machinery sweeps already use via
-  ``MemoryHierarchy.snapshot``/``restore``).
-
+installs the final state in closed form where it can.  A single read
+pass over all-distinct lines through a pristine hierarchy misses every L1
+probe, so the final state of each cache level is simply the last
+``assoc`` lines mapped to each set, in stream order — installable
+directly (:meth:`Cache.warm_tail`) without simulating the evictions.
 Plans with duplicate lines, multiple passes, or a non-pristine hierarchy
 fall back to an exact (but still tightened) replay of the reference
-stream.  ``tests/memory/test_warmup.py`` asserts snapshot equality of the
-fast paths against the reference loop.
+stream.  ``tests/memory/test_warmup.py`` asserts snapshot equality of
+both paths against the reference loop.
+
+:func:`warm_caches` holds no state between calls.  Reusing a warmed
+state across runs is the job of
+:class:`repro.experiments.common.WarmupCache`, which snapshots the
+hierarchy after one warm-up and restores it for every later run.
 """
 
 from __future__ import annotations
@@ -40,55 +36,17 @@ from typing import Iterable
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.trace.layout import strided_touch_plan
 
-#: Entries kept in the module-level memo tables; oldest entries are evicted
-#: first.  Warm-up state is per (geometry, regions, passes), so real runs
-#: only ever hold a handful of entries.
-_MEMO_LIMIT = 16
 
-#: (regions, line_size) -> (line list, has duplicate lines)
-_PLAN_MEMO: dict[tuple, tuple[list[int], bool]] = {}
-
-#: (geometry, regions, passes) -> (hierarchy snapshot, touched count)
-_WARM_MEMO: dict[tuple, tuple[dict, int]] = {}
-
-
-def clear_warmup_memo() -> None:
-    """Drop all memoized plans and snapshots (tests use this)."""
-    _PLAN_MEMO.clear()
-    _WARM_MEMO.clear()
-
-
-def _remember(memo: dict, key, value) -> None:
-    if len(memo) >= _MEMO_LIMIT:
-        memo.pop(next(iter(memo)))
-    memo[key] = value
-
-
-def _plan_lines(regions: tuple[tuple[int, int], ...], line_size: int):
-    """The line-number stream :func:`strided_touch_plan` would touch."""
-    key = (regions, line_size)
-    cached = _PLAN_MEMO.get(key)
-    if cached is None:
-        shift = line_size.bit_length() - 1
-        lines = [
-            (base + offset) >> shift
-            for base, size in regions
-            for offset in range(0, size, line_size)
-        ]
-        cached = (lines, len(set(lines)) != len(lines))
-        _remember(_PLAN_MEMO, key, cached)
-    return cached
-
-
-def _geometry_key(hierarchy: MemoryHierarchy) -> tuple:
-    l1 = hierarchy.l1
-    l2 = hierarchy.l2
-    return (
-        hierarchy.line_size,
-        (l1.size, l1.assoc),
-        None if l2 is None else (l2.size, l2.assoc),
-        hierarchy.memory is not None,
-    )
+def _plan_lines(regions: Iterable[tuple[int, int]], line_size: int):
+    """The line-number stream :func:`strided_touch_plan` would touch, and
+    whether it repeats a line."""
+    shift = line_size.bit_length() - 1
+    lines = [
+        (base + offset) >> shift
+        for base, size in regions
+        for offset in range(0, size, line_size)
+    ]
+    return lines, len(set(lines)) != len(lines)
 
 
 def _is_pristine(hierarchy: MemoryHierarchy) -> bool:
@@ -140,20 +98,9 @@ def warm_caches(
     Returns:
         The number of lines touched (per pass).
     """
-    regions = tuple(regions)
     passes = max(1, passes)
     lines, duplicates = _plan_lines(regions, hierarchy.line_size)
-    touched = len(lines)
-    pristine = _is_pristine(hierarchy)
-    key = None
-    if pristine:
-        key = (_geometry_key(hierarchy), regions, passes)
-        cached = _WARM_MEMO.get(key)
-        if cached is not None:
-            snapshot, touched = cached
-            hierarchy.restore(snapshot)
-            return touched
-    if pristine and passes == 1 and not duplicates:
+    if passes == 1 and not duplicates and _is_pristine(hierarchy):
         # All-distinct lines into empty caches: every L1 probe misses, so
         # both levels see the full stream and their final LRU state is the
         # per-set tail of it.
@@ -163,9 +110,7 @@ def warm_caches(
     else:
         _stream(hierarchy, lines, passes)
     hierarchy.reset_stats()
-    if key is not None:
-        _remember(_WARM_MEMO, key, (hierarchy.snapshot(), touched))
-    return touched
+    return len(lines)
 
 
 def warm_caches_reference(

@@ -40,7 +40,6 @@ def simulate(
     memory: MemoryConfig = DEFAULT_MEMORY,
     regions: Sequence[tuple[int, int]] | None = None,
     predictor_name: str | None = None,
-    warmup_passes: int = 1,
     max_cycles: int | None = None,
     hierarchy: MemoryHierarchy | None = None,
     fast_forward: bool | None = None,
@@ -52,15 +51,15 @@ def simulate(
             (skipped when None or when the hierarchy has no finite cache).
         predictor_name: Override the config's branch predictor.
         hierarchy: Pre-built (typically pre-warmed) memory hierarchy; when
-            given, *memory*/*regions*/*warmup_passes* are ignored and the
-            hierarchy is consumed by this run.
+            given, *memory* and *regions* are ignored and the hierarchy
+            is consumed by this run.
         fast_forward: Override the engine's cycle-skipping default
             (``False`` forces the tick-every-cycle reference mode).
     """
     if hierarchy is None:
         hierarchy = MemoryHierarchy(memory)
         if regions:
-            warm_caches(hierarchy, regions, passes=warmup_passes)
+            warm_caches(hierarchy, regions)
     if predictor_name is None:
         predictor_name = getattr(config, "predictor", None) or "perceptron"
     predictor = make_predictor(predictor_name)
@@ -86,9 +85,10 @@ def run_core(
 
     Args:
         warm_cache: Optional :class:`repro.experiments.common.WarmupCache`;
-            when given (and *warmup* is on), the functional cache warm-up
-            for (memory, workload) runs once and later runs restore the
-            snapshot instead of re-streaming the working set.
+            when given (and *warmup* is on), the hierarchy is restored
+            from its warmed snapshot instead of re-streaming the working
+            set.  Every experiment cell path passes the per-process
+            ``WARMUP``; without it, each run warms from scratch.
         max_cycles: Upper bound on simulated time (deadlock guard);
             forwarded to the engine so long-latency sweeps can tighten
             the default bound.

@@ -104,21 +104,17 @@ def test_parallel_run_suite_matches_serial():
         assert a == b
 
 
-def test_run_many_matches_per_config_suites():
-    from repro.experiments.common import run_many, run_suite
-    from repro.sim.config import R10_64, R10_256
+def _regions_only(regions):
+    """A stand-in workload: the warm-up cache only reads ``regions``."""
+    from types import SimpleNamespace
 
-    pool = WorkloadPool()
-    names = ("swim",)
-    grid = run_many((R10_64, R10_256), names, 600, pool, jobs=2)
-    assert len(grid) == 2 and all(len(row) == 1 for row in grid)
-    for config, row in zip((R10_64, R10_256), grid):
-        assert row == run_suite(config, names, 600, pool, jobs=1)
+    return SimpleNamespace(regions=regions)
 
 
 def test_warmup_cache_restores_identical_state():
     from repro.experiments.common import WarmupCache
     from repro.memory import DEFAULT_MEMORY
+    from repro.memory.configs import memory_config_for_l2_size
     from repro.sim.config import R10_64
     from repro.sim.runner import run_core
 
@@ -130,24 +126,59 @@ def test_warmup_cache_restores_identical_state():
     warmed_twice = run_core(R10_64, workload, 600, warm_cache=cache)
     assert cache.misses == 1 and cache.hits == 1
     assert fresh == warmed_once == warmed_twice
-    # A different memory configuration is a different cache key.
-    run_core(R10_64, workload, 600, memory=DEFAULT_MEMORY.with_mem_latency(100),
+    # Latency is not part of the warmed state: the same geometry reuses
+    # the entry, and the run still matches a from-scratch warm-up.
+    slower = DEFAULT_MEMORY.with_mem_latency(100)
+    reused = run_core(R10_64, workload, 600, memory=slower, warm_cache=cache)
+    assert cache.misses == 1 and cache.hits == 2
+    assert reused == run_core(R10_64, workload, 600, memory=slower)
+    # A different L2 size is a different geometry, so a second miss.
+    run_core(R10_64, workload, 600, memory=memory_config_for_l2_size(64 * 1024),
              warm_cache=cache)
     assert cache.misses == 2
 
 
-def test_parallel_run_suite_ships_warm_snapshots():
-    from repro.experiments.common import WarmupCache, run_suite
-    from repro.sim.config import R10_64
+def test_memo_hit_restores_identical_state():
+    """The second request for the same (geometry, regions) comes from the
+    cache and must equal both the first warm-up and the reference."""
+    from repro.experiments.common import WarmupCache
+    from repro.memory import MemoryHierarchy
+    from repro.memory.configs import TABLE1_CONFIGS
+    from repro.memory.warmup import warm_caches_reference
 
-    pool = WorkloadPool()
-    names = ("swim", "mcf")
+    memory = TABLE1_CONFIGS["L2-11"]
+    workload = _regions_only(((0, 8192), (1 << 20, 4096)))
     cache = WarmupCache()
-    serial = run_suite(R10_64, names, 600, pool, jobs=1)
-    fanned = run_suite(R10_64, names, 600, pool, jobs=2, warm_cache=cache)
-    assert cache.misses == 2  # warmed once per workload, in the parent
-    for a, b in zip(serial, fanned):
-        assert a == b
+    first = cache.hierarchy_for(memory, workload)
+    restored = cache.hierarchy_for(memory, workload)
+    assert cache.misses == 1 and cache.hits == 1
+    reference = MemoryHierarchy(memory)
+    warm_caches_reference(reference, workload.regions)
+    assert restored.snapshot() == first.snapshot() == reference.snapshot()
+
+
+def test_warmup_cache_evicts_the_oldest_entry():
+    from repro.experiments.common import WarmupCache
+    from repro.memory import DEFAULT_MEMORY, MemoryHierarchy
+    from repro.memory.warmup import warm_caches_reference
+
+    workloads = [
+        _regions_only(((i << 20, 4096 * (i + 1)),))
+        for i in range(WarmupCache.LIMIT + 1)
+    ]
+    cache = WarmupCache()
+    for workload in workloads:
+        cache.hierarchy_for(DEFAULT_MEMORY, workload)
+    assert cache.misses == WarmupCache.LIMIT + 1
+    # The 17th entry pushed out the first: asking for it warms again.
+    again = cache.hierarchy_for(DEFAULT_MEMORY, workloads[0])
+    assert cache.misses == WarmupCache.LIMIT + 2 and cache.hits == 0
+    reference = MemoryHierarchy(DEFAULT_MEMORY)
+    warm_caches_reference(reference, workloads[0].regions)
+    assert again.snapshot() == reference.snapshot()
+    # The newest entries are still there.
+    cache.hierarchy_for(DEFAULT_MEMORY, workloads[-1])
+    assert cache.hits == 1
 
 
 # ----------------------------------------------------------------------

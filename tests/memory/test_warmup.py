@@ -5,7 +5,7 @@ import pytest
 from repro.memory import DEFAULT_MEMORY, MemoryHierarchy, warm_caches
 from repro.memory.cache import AccessLevel
 from repro.memory.configs import TABLE1_CONFIGS
-from repro.memory.warmup import clear_warmup_memo, warm_caches_reference
+from repro.memory.warmup import warm_caches_reference
 
 
 def test_warmup_touches_every_line():
@@ -62,7 +62,6 @@ REGION_SETS = {
 
 
 def _snapshots(config_name, regions, passes):
-    clear_warmup_memo()
     fast = MemoryHierarchy(TABLE1_CONFIGS[config_name])
     touched_fast = warm_caches(fast, regions, passes=passes)
     reference = MemoryHierarchy(TABLE1_CONFIGS[config_name])
@@ -83,25 +82,9 @@ def test_fast_warmup_matches_reference_two_passes(regions):
     assert fast == reference
 
 
-def test_memo_hit_restores_identical_state():
-    """The second warm-up of the same (geometry, regions, passes) comes
-    from the snapshot memo and must equal both the first fast warm-up
-    and the reference."""
-    regions = REGION_SETS["distinct"]
-    clear_warmup_memo()
-    first = MemoryHierarchy(TABLE1_CONFIGS["L2-11"])
-    warm_caches(first, regions)
-    memoized = MemoryHierarchy(TABLE1_CONFIGS["L2-11"])
-    warm_caches(memoized, regions)
-    reference = MemoryHierarchy(TABLE1_CONFIGS["L2-11"])
-    warm_caches_reference(reference, regions)
-    assert memoized.snapshot() == first.snapshot() == reference.snapshot()
-
-
 def test_non_pristine_hierarchy_falls_back_to_replay():
     """A hierarchy that has already seen traffic must not take the
     tail-install shortcut; the exact replay keeps it reference-equal."""
-    clear_warmup_memo()
     regions = REGION_SETS["distinct"]
     fast = MemoryHierarchy(TABLE1_CONFIGS["L2-11"])
     fast.touch(0xDEAD000)

@@ -10,7 +10,6 @@ from repro.experiments.common import (
     WorkloadPool,
     compute_cell,
     run_core_cached,
-    run_snapshot_cell,
 )
 from repro.fingerprint import digest
 from repro.memory import DEFAULT_MEMORY
@@ -175,7 +174,7 @@ def test_prune_removes_corrupt(store, pool):
 
 def test_verify_detects_tampering(store, pool):
     run_core_cached(R10_64, pool.get("swim"), 600, store=store)
-    run_snapshot_cell(
+    run_core_cached(
         LimitMachine(rob_size=64), pool.get("mcf"), 600, DEFAULT_MEMORY, store=store
     )
     reports = store.verify(compute_cell)
