@@ -90,13 +90,15 @@ chaos-smoke:
 	  --machines "r10(rob=32)" --workloads "mcf,swim" \
 	  --scale quick --instructions 2000 --no-store --retries 8
 
-# Per-cell dispatch end to end: the same small grid serially and over
-# the pool executor, asserting the result rows are byte-identical; then
-# one profiled cell, leaving profile.pstats for CI to upload.  The same
-# check gates in CI.
+# Per-cell dispatch end to end: the same small grid, and two registered
+# figures (fig3's limit cells, ablation-predictor's D-KIP predictor
+# configs), serially and over the pool executor, asserting the result
+# rows are byte-identical; then one profiled cell, leaving
+# profile.pstats for CI to upload.  The same check gates in CI.
 PERF_SMOKE_GRID = --machines "r10(rob=32),dkip(llib=4096),ooo-bp(bp=gshare-10,rob=24)" \
   --workloads "mcf,swim" --scale quick --instructions 2000 \
   --name perfsmoke --no-store
+PERF_SMOKE_FIGURES = fig3 ablation-predictor --scale quick --no-store
 perf-smoke:
 	rm -rf .perf-serial .perf-pool
 	REPRO_JOBS=1 \
@@ -106,6 +108,14 @@ perf-smoke:
 	  PYTHONPATH=src $(PYTHON) -m repro.experiments sweep $(PERF_SMOKE_GRID) \
 	  --csv .perf-pool
 	cmp .perf-serial/perfsmoke.csv .perf-pool/perfsmoke.csv
+	REPRO_JOBS=1 \
+	  PYTHONPATH=src $(PYTHON) -m repro.experiments $(PERF_SMOKE_FIGURES) \
+	  --csv .perf-serial
+	REPRO_JOBS=2 \
+	  PYTHONPATH=src $(PYTHON) -m repro.experiments $(PERF_SMOKE_FIGURES) \
+	  --csv .perf-pool
+	cmp .perf-serial/fig3.csv .perf-pool/fig3.csv
+	cmp .perf-serial/ablation-predictor.csv .perf-pool/ablation-predictor.csv
 	PYTHONPATH=src $(PYTHON) -m repro.experiments profile dkip mcf \
 	  --instructions 4000 --profile-out profile.pstats
 

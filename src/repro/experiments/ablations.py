@@ -26,11 +26,11 @@ from repro.experiments.common import (
     Stopwatch,
     WorkloadPool,
     mean_ipc,
-    run_core_cached,
-    run_suite,
+    run_cells,
     scale_of,
     suite_names,
 )
+from repro.memory import DEFAULT_MEMORY
 from repro.report.spec import (
     Check,
     FigureSpec,
@@ -40,6 +40,15 @@ from repro.report.spec import (
     wide_rows_as_groups,
 )
 from repro.sim.config import DKIP_2048, KILO_1024, R10_64, RunaheadConfig
+
+
+def _suite_per_config(configs, names, n, pool, store, force):
+    """Run every named benchmark on every config as one benchmark-major
+    grid (each benchmark warms once for all configs); returns one list of
+    per-benchmark stats (``None`` for a failed cell) per config."""
+    cells = [(config, name, DEFAULT_MEMORY) for name in names for config in configs]
+    flat = run_cells(cells, n, pool, store=store, force=force)
+    return [flat[i :: len(configs)] for i in range(len(configs))]
 
 
 def run_timer(
@@ -56,16 +65,17 @@ def run_timer(
         headers=["timer (cycles)", "ROB entries", "mean IPC"],
         scale=scale,
     )
+    timers = (4, 8, 16, 32, 64)
+    configs = []
+    for timer in timers:
+        cp = dataclasses.replace(DKIP_2048.cache_processor, rob_size=timer * 4)
+        configs.append(dataclasses.replace(
+            DKIP_2048, name=f"timer-{timer}", rob_timer=timer, cache_processor=cp
+        ))
     with Stopwatch(result):
-        for timer in (4, 8, 16, 32, 64):
-            cp = dataclasses.replace(
-                DKIP_2048.cache_processor, rob_size=timer * 4
-            )
-            config = dataclasses.replace(
-                DKIP_2048, name=f"timer-{timer}", rob_timer=timer, cache_processor=cp
-            )
-            ipc = mean_ipc(run_suite(config, names, n, pool, store=store, force=force))
-            result.rows.append([timer, timer * 4, round(ipc, 3)])
+        per_config = _suite_per_config(configs, names, n, pool, store, force)
+        for timer, stats in zip(timers, per_config):
+            result.rows.append([timer, timer * 4, round(mean_ipc(stats), 3)])
     result.notes.append(
         "The paper picks 16 cycles: enough for the L2 tag probe; much "
         "larger timers re-grow the very window the D-KIP avoids."
@@ -87,11 +97,14 @@ def run_llib_size(
         headers=["LLIB entries", "mean IPC", "fill-up stall cycles"],
         scale=scale,
     )
+    sizes = (64, 256, 1024, 2048, 4096)
+    configs = [
+        dataclasses.replace(DKIP_2048, name=f"llib-{size}", llib_size=size) for size in sizes
+    ]
     with Stopwatch(result):
-        for size in (64, 256, 1024, 2048, 4096):
-            config = dataclasses.replace(DKIP_2048, name=f"llib-{size}", llib_size=size)
-            stats = run_suite(config, names, n, pool, store=store, force=force)
-            stalls = sum(s.llib_full_stall_cycles for s in stats)
+        per_config = _suite_per_config(configs, names, n, pool, store, force)
+        for size, stats in zip(sizes, per_config):
+            stalls = sum(s.llib_full_stall_cycles for s in stats if s is not None)
             result.rows.append([size, round(mean_ipc(stats), 3), stalls])
     return result
 
@@ -110,16 +123,28 @@ def run_predictor(
         headers=["predictor", "mean IPC"],
         scale=scale,
     )
+    # The predictor is the cache processor's field, spelled in the spec
+    # grammar with each family's default geometry, so every row builds
+    # the predictor its plain name builds.  The explicit perceptron
+    # spelling keys its cells apart from fig13's D-KIP-2048 cells, as the
+    # old predictor override did; keeping DKIP_2048's name keeps each
+    # cell's SimStats identical to that override.
+    predictors = {
+        "perceptron": "perceptron-256-24",
+        "gshare": "gshare-12",
+        "bimodal": "bimodal-12",
+        "always-taken": "always-taken",
+    }
+    configs = [
+        dataclasses.replace(DKIP_2048, cache_processor=dataclasses.replace(
+            DKIP_2048.cache_processor, predictor=spec
+        ))
+        for spec in predictors.values()
+    ]
     with Stopwatch(result):
-        for predictor in ("perceptron", "gshare", "bimodal", "always-taken"):
-            ipcs = [
-                run_core_cached(
-                    DKIP_2048, pool.get(b), n, predictor_name=predictor,
-                    store=store, force=force,
-                ).ipc
-                for b in names
-            ]
-            result.rows.append([predictor, round(sum(ipcs) / len(ipcs), 3)])
+        per_config = _suite_per_config(configs, names, n, pool, store, force)
+        for predictor, stats in zip(predictors, per_config):
+            result.rows.append([predictor, round(mean_ipc(stats), 3)])
     return result
 
 
@@ -139,9 +164,9 @@ def run_runahead(
     )
     machines = (R10_64, RunaheadConfig(), KILO_1024, DKIP_2048)
     with Stopwatch(result):
-        for machine in machines:
-            ipc = mean_ipc(run_suite(machine, names, n, pool, store=store, force=force))
-            result.rows.append([machine.name, round(ipc, 3)])
+        per_config = _suite_per_config(machines, names, n, pool, store, force)
+        for machine, stats in zip(machines, per_config):
+            result.rows.append([machine.name, round(mean_ipc(stats), 3)])
     result.notes.append(
         "Expected shape: runahead lands between R10-64 and the true "
         "large-window machines — prefetching overlaps misses but every "

@@ -1025,7 +1025,8 @@ def run_serve_command(args) -> int:
 
     The scheduler loop runs in this process; each ``--workers`` slot is
     a separate OS process polling the same spool, so a worker death is a
-    real process death and the store is genuinely shared.  ``--once``
+    real process death and the store is genuinely shared; a slot whose
+    worker died gets a fresh one on the next poll.  ``--once``
     drains every submitted job and exits (the smoke-test mode); without
     it the service runs until interrupted.
     """
@@ -1043,8 +1044,8 @@ def run_serve_command(args) -> int:
     poll = args.poll if args.poll is not None else 0.2
     lease = args.lease if args.lease is not None else 30.0
     scheduler = Scheduler(queue, store, lease=lease)
-    processes = []
-    for slot in range(max(0, workers)):
+
+    def spawn(slot: int):
         process = multiprocessing.Process(
             target=worker_main,
             args=(str(queue.root),),
@@ -1056,7 +1057,9 @@ def run_serve_command(args) -> int:
             daemon=True,
         )
         process.start()
-        processes.append(process)
+        return process
+
+    processes = [spawn(slot) for slot in range(max(0, workers))]
     print(
         f"serving {queue.root} with {len(processes)} worker(s); "
         f"store {store.root}",
@@ -1069,6 +1072,12 @@ def run_serve_command(args) -> int:
                 print(event, flush=True)
             if args.once and scheduler.drained():
                 break
+            # A dead worker's tickets requeue when its lease expires;
+            # refill its slot so someone is left to claim them (the
+            # scheduler's requeue budget still bounds a crash loop).
+            for slot, process in enumerate(processes):
+                if not process.is_alive():
+                    processes[slot] = spawn(slot)
             time.sleep(poll)
     except KeyboardInterrupt:
         pass

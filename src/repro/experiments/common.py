@@ -1,13 +1,14 @@
-"""Shared experiment machinery: scales, suite runners, result records.
+"""Shared experiment machinery: scales, the cell runner, result records.
 
-Three pieces keep the figure sweeps fast:
+Every harness describes its figure as one list of (machine config,
+benchmark, memory) cells and hands it to :func:`run_cells` in a single
+call; three pieces keep those grids fast:
 
-* :func:`run_cells` (and its one-config wrapper :func:`run_suite`) fans
-  simulations out over a process pool — one worker task per (machine
-  config, workload, memory) cell — sized by the ``REPRO_JOBS``
-  environment variable (default: the machine's CPU count).  Results
-  always come back in input order, so harness tables are bit-identical
-  to the serial path.
+* :func:`run_cells` fans simulations out over a supervised process pool
+  — one worker task per cell — sized by the ``REPRO_JOBS`` environment
+  variable (default: the machine's CPU count), under the ambient
+  resilience policy.  Results always come back in input order, so
+  harness tables are bit-identical to the serial path.
 * :data:`WARMUP`, this process's :class:`WarmupCache`, runs the
   functional cache warm-up once per (cache geometry, workload regions)
   and hands out snapshot-restored hierarchies, instead of re-streaming
@@ -30,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.memory import DEFAULT_MEMORY, MemoryConfig, MemoryHierarchy, warm_caches
+from repro.memory import MemoryConfig, MemoryHierarchy, warm_caches
 from repro.resilience import (
     ExecutionPolicy,
     FailureReport,
@@ -99,7 +100,7 @@ class WorkloadPool:
 
 
 # ----------------------------------------------------------------------
-# Suite runners (serial or process-pool)
+# The cell runner (serial or process-pool)
 # ----------------------------------------------------------------------
 
 
@@ -224,8 +225,9 @@ def run_cells(
 ) -> list[SimStats | None]:
     """Run every (config, benchmark, memory) cell, store-first, in order.
 
-    The fully general grid runner — machines of any registered kind
-    (including the limit core) and a different memory system per cell.
+    The grid runner every harness calls once per figure — machines of
+    any registered kind (including the limit core) and a different
+    memory system per cell.
     Cached cells never dispatch; missing cells run serially or on the
     supervised pool (:class:`repro.resilience.ResilientExecutor`) and
     persist to *store* as each one completes — that per-cell write-back
@@ -256,6 +258,12 @@ def run_cells(
         if report is None:
             report = FailureReport()
     labels = {i: cell_label(*cells[i]) for i in pending}
+
+    def on_result(i: int, stats: SimStats) -> None:
+        if store is not None:
+            store.put(keys[i], stats)
+        results[i] = stats
+
     jobs = resolve_jobs(jobs, len(pending))
     if jobs <= 1 and policy.cell_timeout is None:
         for i in pending:
@@ -273,9 +281,7 @@ def run_cells(
 
             stats = run_attempts(i, labels[i], compute, policy, report)
             if stats is not None:
-                if store is not None:
-                    store.put(keys[i], stats)
-                results[i] = stats
+                on_result(i, stats)
         return results
     # Parallel path: the supervised executor enforces deadlines, retries
     # retryable failures, and respawns dead workers, requeueing only
@@ -285,69 +291,9 @@ def run_cells(
         config, name, memory = cells[i]
         task = (config, name, num_instructions, memory, pool.seed, max_cycles)
         tasks.append((i, labels[i], task))
-
-    def on_result(i: int, stats: SimStats) -> None:
-        if store is not None:
-            store.put(keys[i], stats)
-        results[i] = stats
-
     executor = ResilientExecutor(_run_pair, jobs, policy, report)
     executor.run(tasks, on_result)
     return results
-
-
-def run_suite(
-    config: MachineConfig,
-    names: Sequence[str],
-    num_instructions: int,
-    pool: WorkloadPool,
-    memory: MemoryConfig = DEFAULT_MEMORY,
-    jobs: int | None = None,
-    store: ResultStore | None = None,
-    force: bool = False,
-    max_cycles: int | None = None,
-) -> list[SimStats]:
-    """Simulate every named benchmark on *config*; returns per-run stats
-    in the order of *names* regardless of worker scheduling."""
-    cells = [(config, name, memory) for name in names]
-    return run_cells(cells, num_instructions, pool, jobs, store, force, max_cycles)
-
-
-def run_core_cached(
-    config: MachineConfig,
-    workload,
-    num_instructions: int,
-    memory: MemoryConfig = DEFAULT_MEMORY,
-    predictor_name: str | None = None,
-    store: ResultStore | None = None,
-    force: bool = False,
-) -> SimStats:
-    """Store-aware :func:`repro.sim.runner.run_core` for single cells.
-
-    Works for any registered machine kind.  A store hit never simulates
-    and never warms: a benchmark whose cells are all stored skips its
-    warm-up entirely.
-    """
-    key = None
-    if store is not None:
-        key = cell_key(
-            config, workload, num_instructions, memory, predictor=predictor_name
-        )
-        if not force:
-            cached = store.get(key)
-            if cached is not None:
-                return cached
-    stats = run_core(
-        config,
-        workload,
-        num_instructions,
-        memory=memory,
-        predictor_name=predictor_name,
-        warm_cache=WARMUP,
-    )
-    if store is not None:
-        store.put(key, stats)
-    return stats
 
 
 def compute_cell(payload: dict, max_cycles: int | None = None) -> SimStats:

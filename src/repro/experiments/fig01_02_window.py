@@ -19,7 +19,8 @@ from repro.experiments.common import (
     Scale,
     Stopwatch,
     WorkloadPool,
-    run_core_cached,
+    mean_ipc,
+    run_cells,
     scale_of,
     suite_names,
 )
@@ -56,22 +57,22 @@ def run(
         scale=scale,
     )
     series: dict[str, list[tuple[float, float]]] = {}
+    cells, points = [], []
+    for mem_name in mem_names:
+        for bench in names:
+            for window in windows:
+                machine = LimitMachine(rob_size=window, record_histogram=False)
+                cells.append((machine, bench, TABLE1_CONFIGS[mem_name]))
+                points.append((mem_name, window))
     with Stopwatch(result):
+        by_point: dict[tuple[str, int], list] = {}
+        flat = run_cells(cells, n, pool, store=store, force=force)
+        for point, stats in zip(points, flat):
+            by_point.setdefault(point, []).append(stats)
         for mem_name in mem_names:
-            mem_config = TABLE1_CONFIGS[mem_name]
-            ipcs_by_window: dict[int, list[float]] = {w: [] for w in windows}
-            for bench in names:
-                workload = pool.get(bench)
-                for window in windows:
-                    machine = LimitMachine(rob_size=window, record_histogram=False)
-                    stats = run_core_cached(
-                        machine, workload, n, memory=mem_config, store=store, force=force
-                    )
-                    ipcs_by_window[window].append(stats.ipc)
             row: list[object] = [mem_name]
             for window in windows:
-                ipcs = ipcs_by_window[window]
-                mean = sum(ipcs) / len(ipcs)
+                mean = mean_ipc(by_point[(mem_name, window)])
                 row.append(round(mean, 3))
                 series.setdefault(mem_name, []).append((window, mean))
             result.rows.append(row)

@@ -18,7 +18,7 @@ from repro.experiments.common import (
     Scale,
     Stopwatch,
     WorkloadPool,
-    run_core_cached,
+    run_cells,
     scale_of,
     suite_names,
 )
@@ -44,13 +44,12 @@ def run(
         scale=scale,
     )
     aggregate = Histogram(bin_width=25, max_value=4000)
+    machine = LimitMachine(rob_size=None, record_histogram=True)
+    cells = [(machine, bench, DEFAULT_MEMORY) for bench in names]
     with Stopwatch(result):
-        machine = LimitMachine(rob_size=None, record_histogram=True)
-        for bench in names:
-            workload = pool.get(bench)
-            stats = run_core_cached(
-                machine, workload, n, memory=DEFAULT_MEMORY, store=store, force=force
-            )
+        for stats in run_cells(cells, n, pool, store=store, force=force):
+            if stats is None:  # a failed cell under a tolerant policy
+                continue
             for start, count in stats.issue_distance.bins():
                 aggregate.add(start, count)
     below_300 = aggregate.fraction_below(300)

@@ -89,7 +89,8 @@ def run(
             for size in sizes:
                 stats = by_point[(label, size)]
                 ipc = mean_ipc(stats)
-                fractions = [s.cp_fraction for s in stats if s.committed_mp or s.committed_cp]
+                present = [s for s in stats if s is not None]
+                fractions = [s.cp_fraction for s in present if s.committed_mp or s.committed_cp]
                 cp_fractions.append(sum(fractions) / len(fractions) if fractions else 1.0)
                 if first is None:
                     first = ipc

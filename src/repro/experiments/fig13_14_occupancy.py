@@ -19,10 +19,11 @@ from repro.experiments.common import (
     Scale,
     Stopwatch,
     WorkloadPool,
-    run_core_cached,
+    run_cells,
     scale_of,
     suite_names,
 )
+from repro.memory import DEFAULT_MEMORY
 from repro.report.spec import Check, FigureSpec, max_row_ratio, wide_rows_as_groups
 from repro.sim.config import DKIP_2048
 from repro.viz.ascii import bar_chart
@@ -45,11 +46,12 @@ def run(
         scale=scale,
     )
     instr_chart: dict[str, float] = {}
+    cells = [(DKIP_2048, bench, DEFAULT_MEMORY) for bench in names]
     with Stopwatch(result):
-        for bench in names:
-            stats = run_core_cached(
-                DKIP_2048, pool.get(bench), n, store=store, force=force
-            )
+        flat = run_cells(cells, n, pool, store=store, force=force)
+        for bench, stats in zip(names, flat):
+            if stats is None:  # a failed cell drops its benchmark's row
+                continue
             if suite == "int":
                 max_instr = stats.llib_max_instructions_int
                 max_regs = stats.llib_max_registers_int
@@ -65,7 +67,8 @@ def run(
     regs = [row[2] for row in result.rows]
     instrs = [row[1] for row in result.rows]
     result.notes.append(
-        f"register peak {max(regs)} vs instruction peak {max(instrs)} "
+        f"register peak {max(regs, default=0)} vs instruction peak "
+        f"{max(instrs, default=0)} "
         "(paper: registers always below instructions; INT pressure > FP)"
     )
     return result

@@ -128,6 +128,12 @@ class DkipConfig(Fingerprintable):
     checkpoint_interval: int = 256
     recovery_penalty: int = 16
 
+    @property
+    def predictor(self) -> str:
+        """The branch predictor, which sits in the cache processor's front
+        end (the runner reads this attr)."""
+        return self.cache_processor.predictor
+
     def with_cp(self, size_or_policy: str) -> "DkipConfig":
         """Clone with the CP queue configuration named like the paper
         ("INO", "OOO-20" ... "OOO-80")."""

@@ -10,6 +10,8 @@ also when a worker dies mid-grid and its cell is retried.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.common import WorkloadPool, run_cells
@@ -75,6 +77,33 @@ def test_dispatched_cell_is_bit_identical_to_run_core(direct, dispatched, tag):
     assert stats is not None
     assert stats.committed == NUM_INSTRUCTIONS
     assert stats.to_dict() == direct[tag].to_dict()
+
+
+@pytest.mark.parametrize(
+    ("predictor", "spec"),
+    [
+        ("perceptron", "perceptron-256-24"),
+        ("gshare", "gshare-12"),
+        ("bimodal", "bimodal-12"),
+        ("always-taken", "always-taken"),
+    ],
+)
+def test_predictor_on_the_machine_matches_a_predictor_override(predictor, spec):
+    """The predictor ablation keys its cells by a machine whose cache
+    processor names the predictor; each cell must equal the historical
+    ``predictor_name=`` override of the unchanged D-KIP-2048."""
+    pool = WorkloadPool()
+    machine = dataclasses.replace(
+        DKIP_2048,
+        cache_processor=dataclasses.replace(DKIP_2048.cache_processor, predictor=spec),
+    )
+    # twolf: the four predictors mispredict differently on it.
+    (stats,) = run_cells([(machine, "twolf", MEMORY)], NUM_INSTRUCTIONS, pool)
+    override = run_core(
+        DKIP_2048, pool.get("twolf"), NUM_INSTRUCTIONS, memory=MEMORY,
+        predictor_name=predictor,
+    )
+    assert stats.to_dict() == override.to_dict()
 
 
 @pytest.fixture(scope="module")

@@ -229,3 +229,43 @@ def test_cli_strict_budget_aborts_the_sweep(capsys, monkeypatch):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert "aborted: cell" in err and "mcf" in err
+
+
+# ----------------------------------------------------------------------
+# Every harness runs its grid under the ambient policy
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    ("experiment", "bench"),
+    [
+        ("fig1", "mcf"),
+        ("fig3", "swim"),
+        ("fig11", "mcf"),
+        ("fig13", "mcf"),
+        ("ablation-llib", "mcf"),
+        ("ablation-predictor", "mcf"),
+    ],
+)
+def test_cli_harness_renders_a_partial_grid_under_a_tolerant_policy(
+    experiment, bench, tmp_path, capsys, monkeypatch
+):
+    """A failed benchmark's cells reach the failure report; the harness
+    still renders from the surviving cells instead of crashing."""
+    import json
+
+    monkeypatch.setenv("REPRO_JOBS", "2")
+    monkeypatch.setenv("REPRO_FAULT", f"cell:fail@{bench}")
+    failures_json = tmp_path / "failures.json"
+    argv = [
+        experiment, "--scale", "quick", "--no-store",
+        "--max-failures", "-1", "--failures-json", str(failures_json),
+    ]
+    assert cli.main(argv) != 0
+    captured = capsys.readouterr()
+    assert not re.search(r"^experiment .* failed", captured.err, re.MULTILINE)
+    assert f"{experiment}:" in captured.out
+    report = json.loads(failures_json.read_text())
+    assert report["failed"] >= 1
+    assert all(bench in failure["cell"] for failure in report["failures"])

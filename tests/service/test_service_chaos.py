@@ -9,10 +9,15 @@ clean — the scheduler must heal the grid through real process deaths.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.service import Scheduler, ServiceQueue, build_job, worker_main
 from repro.service.jobs import DONE
 from repro.store import ResultStore
@@ -72,3 +77,39 @@ def test_killed_workers_requeue_and_heal_to_a_complete_grid(
     assert not healed.lost and not healed.failed_digests()
     assert all(store.validated(cell.store_key()) for cell in healed.cells)
     assert "0 failed" in healed.summary_line()
+
+
+@pytest.mark.slow
+def test_serve_replaces_killed_workers_and_drains(tmp_path):
+    """``serve --once`` refills every slot whose worker died, so the
+    requeued tickets find a claimant and the job drains instead of
+    hanging; run in a subprocess so a regression times out."""
+    svc = str(tmp_path / "svc")
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("REPRO_FAULT", None)
+    grid = [
+        "--machines", ",".join(MAPPING["machines"]),
+        "--workloads", ",".join(MAPPING["workloads"]),
+        "--scale", "quick", "--instructions", str(MAPPING["instructions"]),
+        "--shards", "2",
+    ]
+    command = [sys.executable, "-m", "repro.experiments"]
+    subprocess.run(
+        command + ["submit", "--service", svc, *grid],
+        env=env, check=True, capture_output=True, timeout=60,
+    )
+    env["REPRO_FAULT"] = "cell:kill@#0"
+    served = subprocess.run(
+        command + ["serve", "--service", svc, "--workers", "2", "--once",
+                   "--lease", "1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert served.returncode == 0, served.stderr
+    queue = ServiceQueue(svc)
+    (job,) = list(queue.iter_jobs())
+    assert job.state == DONE
+    assert job.requeues >= 1  # the kill clause really took workers down
+    store = ResultStore(Path(svc) / "store")
+    assert all(store.validated(cell.store_key()) for cell in job.cells)

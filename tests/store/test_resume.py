@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import WorkloadPool, run_cells, run_suite
+from repro.experiments.common import WorkloadPool, run_cells
 from repro.experiments.registry import get_experiment
 from repro.machines import parse_machine
 from repro.memory import DEFAULT_MEMORY
@@ -21,6 +21,12 @@ NAMES = ("swim", "mcf", "gcc")
 N = 600
 
 
+def _suite(config, names, pool, store=None):
+    """Every named benchmark on *config*, one serial run_cells grid."""
+    cells = [(config, name, DEFAULT_MEMORY) for name in names]
+    return run_cells(cells, N, pool, jobs=1, store=store)
+
+
 @pytest.fixture
 def store(tmp_path):
     return ResultStore(tmp_path / "store")
@@ -28,9 +34,9 @@ def store(tmp_path):
 
 def test_second_run_simulates_nothing(store):
     pool = WorkloadPool()
-    cold = run_suite(R10_64, NAMES, N, pool, jobs=1, store=store)
+    cold = _suite(R10_64, NAMES, pool, store)
     assert store.writes == len(NAMES)
-    warm = run_suite(R10_64, NAMES, N, pool, jobs=1, store=store)
+    warm = _suite(R10_64, NAMES, pool, store)
     assert store.hits == len(NAMES)
     assert store.writes == len(NAMES)  # nothing recomputed
     assert warm == cold
@@ -38,9 +44,9 @@ def test_second_run_simulates_nothing(store):
 
 def test_store_results_match_storeless(store):
     pool = WorkloadPool()
-    plain = run_suite(R10_64, NAMES, N, pool, jobs=1)
-    stored = run_suite(R10_64, NAMES, N, pool, jobs=1, store=store)
-    rehydrated = run_suite(R10_64, NAMES, N, pool, jobs=1, store=store)
+    plain = _suite(R10_64, NAMES, pool)
+    stored = _suite(R10_64, NAMES, pool, store)
+    rehydrated = _suite(R10_64, NAMES, pool, store)
     assert plain == stored == rehydrated
 
 
@@ -48,11 +54,11 @@ def test_interrupted_sweep_resumes_missing_cells_only(store):
     """Pre-populate a strict subset of cells (as a killed sweep would
     leave behind), then re-run: only the gap is simulated."""
     pool = WorkloadPool()
-    reference = run_suite(R10_64, NAMES, N, pool, jobs=1)
+    reference = _suite(R10_64, NAMES, pool)
     # "Interrupted" run: only the first cell made it to disk.
     key = cell_key(R10_64, pool.get(NAMES[0]), N, DEFAULT_MEMORY)
     store.put(key, reference[0])
-    resumed = run_suite(R10_64, NAMES, N, pool, jobs=1, store=store)
+    resumed = _suite(R10_64, NAMES, pool, store)
     assert resumed == reference
     assert store.hits == 1
     assert store.writes == 1 + (len(NAMES) - 1)
@@ -61,13 +67,13 @@ def test_interrupted_sweep_resumes_missing_cells_only(store):
 def test_incremental_run_recomputes_only_changed_cells(store):
     """Changing one swept parameter misses only the changed cells."""
     pool = WorkloadPool()
-    run_suite(R10_64, NAMES, N, pool, jobs=1, store=store)
+    _suite(R10_64, NAMES, pool, store)
     writes = store.writes
     # Same config, one extra benchmark: exactly one new cell.
-    run_suite(R10_64, NAMES + ("art",), N, pool, jobs=1, store=store)
+    _suite(R10_64, NAMES + ("art",), pool, store)
     assert store.writes == writes + 1
     # A different machine config misses every cell again.
-    run_suite(R10_256, NAMES, N, pool, jobs=1, store=store)
+    _suite(R10_256, NAMES, pool, store)
     assert store.writes == writes + 1 + len(NAMES)
 
 
@@ -85,7 +91,7 @@ def test_parallel_sweep_writes_back_and_resumes(store):
     assert store.hits == 2 * len(NAMES)
     assert warm == cold
     # Serial and parallel paths share one key space.
-    serial = run_suite(R10_64, NAMES, N, pool, jobs=1, store=store)
+    serial = _suite(R10_64, NAMES, pool, store)
     assert serial == cold[: len(NAMES)]
     assert store.writes == 2 * len(NAMES)
 
@@ -96,11 +102,9 @@ def test_spec_built_machine_hits_dataclass_cells(store):
     and SimStats to its dataclass-built twin, so the spec run is served
     entirely from the twin's cached cells."""
     pool = WorkloadPool()
-    dataclass_stats = run_suite(R10_256, NAMES, N, pool, jobs=1, store=store)
+    dataclass_stats = _suite(R10_256, NAMES, pool, store)
     writes = store.writes
-    spec_stats = run_suite(
-        parse_machine("r10(rob=256,iq=160)"), NAMES, N, pool, jobs=1, store=store
-    )
+    spec_stats = _suite(parse_machine("r10(rob=256,iq=160)"), NAMES, pool, store)
     assert store.writes == writes          # zero cells simulated
     assert store.hits == len(NAMES)        # every cell served from disk
     assert spec_stats == dataclass_stats   # SimStats bit-identical
@@ -111,11 +115,10 @@ def test_limit_machine_flows_through_the_generic_grid(store):
     spec-built limit machine hits the cells a dataclass sweep stored."""
     pool = WorkloadPool()
     machine = LimitMachine(rob_size=64, record_histogram=False)
-    dataclass_stats = run_suite(machine, NAMES, N, pool, jobs=1, store=store)
+    dataclass_stats = _suite(machine, NAMES, pool, store)
     writes = store.writes
-    spec_stats = run_suite(
-        parse_machine("limit(rob=64,histogram=off)"),
-        NAMES, N, pool, jobs=1, store=store,
+    spec_stats = _suite(
+        parse_machine("limit(rob=64,histogram=off)"), NAMES, pool, store
     )
     assert store.writes == writes
     assert spec_stats == dataclass_stats
@@ -133,9 +136,9 @@ def test_spec_twins_fingerprint_identically_for_every_kind(store):
     for spec, twin in pairs:
         built = parse_machine(spec)
         assert built.fingerprint() == twin.fingerprint()
-        twin_stats = run_suite(twin, ("mcf",), N, pool, jobs=1, store=store)
+        twin_stats = _suite(twin, ("mcf",), pool, store)
         writes = store.writes
-        spec_stats = run_suite(built, ("mcf",), N, pool, jobs=1, store=store)
+        spec_stats = _suite(built, ("mcf",), pool, store)
         assert store.writes == writes
         assert spec_stats == twin_stats
 

@@ -6,11 +6,7 @@ import json
 
 import pytest
 
-from repro.experiments.common import (
-    WorkloadPool,
-    compute_cell,
-    run_core_cached,
-)
+from repro.experiments.common import WorkloadPool, compute_cell, run_cells
 from repro.fingerprint import digest
 from repro.memory import DEFAULT_MEMORY
 from repro.sim.config import DKIP_2048, R10_64, LimitMachine
@@ -27,6 +23,14 @@ def pool():
 @pytest.fixture
 def store(tmp_path):
     return ResultStore(tmp_path / "store")
+
+
+def _run(config, name, pool, store, force=False):
+    """One store-first cell through the serial grid runner."""
+    (stats,) = run_cells(
+        [(config, name, DEFAULT_MEMORY)], 600, pool, jobs=1, store=store, force=force
+    )
+    return stats
 
 
 def test_stats_roundtrip_with_histogram():
@@ -64,14 +68,13 @@ def test_get_miss_put_hit(store, pool):
     assert (store.hits, store.misses, store.writes) == (1, 1, 1)
 
 
-def test_run_core_cached_hit_miss_force(store, pool):
-    workload = pool.get("mcf")
-    cold = run_core_cached(R10_64, workload, 600, store=store)
+def test_run_cells_hit_miss_force(store, pool):
+    cold = _run(R10_64, "mcf", pool, store)
     assert (store.hits, store.misses) == (0, 1)
-    warm = run_core_cached(R10_64, workload, 600, store=store)
+    warm = _run(R10_64, "mcf", pool, store)
     assert (store.hits, store.misses) == (1, 1)
     assert warm == cold
-    forced = run_core_cached(R10_64, workload, 600, store=store, force=True)
+    forced = _run(R10_64, "mcf", pool, store, force=True)
     # --force never reads, always recomputes and overwrites.
     assert (store.hits, store.misses) == (1, 1)
     assert store.writes == 2
@@ -89,12 +92,11 @@ def test_distinct_cells_do_not_collide(store, pool):
 
 
 def test_truncated_entry_recomputes_not_crashes(store, pool):
-    workload = pool.get("swim")
-    cold = run_core_cached(R10_64, workload, 600, store=store)
-    key = cell_key(R10_64, workload, 600, DEFAULT_MEMORY)
+    cold = _run(R10_64, "swim", pool, store)
+    key = cell_key(R10_64, pool.get("swim"), 600, DEFAULT_MEMORY)
     path = store.path_for(key)
     path.write_text(path.read_text()[: len(path.read_text()) // 2])
-    again = run_core_cached(R10_64, workload, 600, store=store)
+    again = _run(R10_64, "swim", pool, store)
     assert again == cold
     assert store.corrupt == 1
     # The recompute healed the entry.
@@ -114,8 +116,8 @@ def test_garbage_json_and_digest_mismatch_are_misses(store, pool):
 
 
 def test_summary_prune(store, pool):
-    run_core_cached(R10_64, pool.get("swim"), 600, store=store)
-    run_core_cached(DKIP_2048, pool.get("mcf"), 600, store=store)
+    _run(R10_64, "swim", pool, store)
+    _run(DKIP_2048, "mcf", pool, store)
     summary = store.summary()
     assert summary["entries"] == 2
     assert summary["machines"] == {"CoreConfig": 1, "DkipConfig": 1}
@@ -129,7 +131,7 @@ def test_summary_prune(store, pool):
 
 def test_in_place_stats_tamper_is_a_miss(store, pool):
     """Valid-JSON corruption of the stats body must not be served."""
-    cold = run_core_cached(R10_64, pool.get("swim"), 600, store=store)
+    cold = _run(R10_64, "swim", pool, store)
     key = cell_key(R10_64, pool.get("swim"), 600, DEFAULT_MEMORY)
     path = store.path_for(key)
     entry = json.loads(path.read_text())
@@ -137,12 +139,12 @@ def test_in_place_stats_tamper_is_a_miss(store, pool):
     path.write_text(json.dumps(entry))
     assert store.get(key) is None
     assert store.corrupt == 1
-    assert run_core_cached(R10_64, pool.get("swim"), 600, store=store) == cold
+    assert _run(R10_64, "swim", pool, store) == cold
 
 
 def test_prune_handles_entry_without_key(store, pool):
     """A well-formed JSON entry missing fields is corrupt, not a crash."""
-    run_core_cached(R10_64, pool.get("swim"), 600, store=store)
+    _run(R10_64, "swim", pool, store)
     key = cell_key(R10_64, pool.get("swim"), 600, DEFAULT_MEMORY)
     path = store.path_for(key)
     path.write_text(json.dumps({"digest": key.digest, "stats": {}}))
@@ -152,7 +154,7 @@ def test_prune_handles_entry_without_key(store, pool):
 
 
 def test_verify_skips_other_schema_entries(store, pool):
-    run_core_cached(R10_64, pool.get("swim"), 600, store=store)
+    _run(R10_64, "swim", pool, store)
     key = cell_key(R10_64, pool.get("swim"), 600, DEFAULT_MEMORY)
     path = store.path_for(key)
     entry = json.loads(path.read_text())
@@ -165,7 +167,7 @@ def test_verify_skips_other_schema_entries(store, pool):
 
 
 def test_prune_removes_corrupt(store, pool):
-    run_core_cached(R10_64, pool.get("swim"), 600, store=store)
+    _run(R10_64, "swim", pool, store)
     key = cell_key(R10_64, pool.get("swim"), 600, DEFAULT_MEMORY)
     store.path_for(key).write_text("not json")
     assert store.prune() == 1
@@ -173,10 +175,8 @@ def test_prune_removes_corrupt(store, pool):
 
 
 def test_verify_detects_tampering(store, pool):
-    run_core_cached(R10_64, pool.get("swim"), 600, store=store)
-    run_core_cached(
-        LimitMachine(rob_size=64), pool.get("mcf"), 600, DEFAULT_MEMORY, store=store
-    )
+    _run(R10_64, "swim", pool, store)
+    _run(LimitMachine(rob_size=64), "mcf", pool, store)
     reports = store.verify(compute_cell)
     assert len(reports) == 2
     assert all(report["status"] == "ok" for report in reports)
@@ -194,7 +194,7 @@ def test_verify_detects_tampering(store, pool):
 
 def test_verify_sampling_is_deterministic(store, pool):
     for name in ("swim", "mcf", "gcc"):
-        run_core_cached(R10_64, pool.get(name), 600, store=store)
+        _run(R10_64, name, pool, store)
     one = store.verify(compute_cell, sample=1, rng_seed=7)
     two = store.verify(compute_cell, sample=1, rng_seed=7)
     assert [r["digest"] for r in one] == [r["digest"] for r in two]
@@ -246,7 +246,7 @@ def test_put_failure_leaves_no_tmp_orphan(store, pool, monkeypatch):
 def test_iter_entries_tolerates_concurrent_unlink(store, pool):
     """A file vanishing mid-scan is skipped, not reported corrupt."""
     for name in ("swim", "mcf"):
-        run_core_cached(R10_64, pool.get(name), 600, store=store)
+        _run(R10_64, name, pool, store)
     entries = store.iter_entries()
     first_path, first_entry = next(entries)
     assert first_entry is not None
@@ -258,7 +258,7 @@ def test_iter_entries_tolerates_concurrent_unlink(store, pool):
 
 
 def test_contains_lies_about_torn_entries_but_validated_does_not(store, pool):
-    run_core_cached(R10_64, pool.get("swim"), 600, store=store)
+    _run(R10_64, "swim", pool, store)
     key = cell_key(R10_64, pool.get("swim"), 600, DEFAULT_MEMORY)
     assert store.validated(key) is True
     store.path_for(key).write_text("")  # a torn/zero-length entry
@@ -268,7 +268,7 @@ def test_contains_lies_about_torn_entries_but_validated_does_not(store, pool):
 
 
 def test_validated_does_not_skew_counters(store, pool):
-    run_core_cached(R10_64, pool.get("swim"), 600, store=store)
+    _run(R10_64, "swim", pool, store)
     key = cell_key(R10_64, pool.get("swim"), 600, DEFAULT_MEMORY)
     miss = cell_key(R10_64, pool.get("mcf"), 600, DEFAULT_MEMORY)
     before = (store.hits, store.misses, store.corrupt)
